@@ -275,13 +275,19 @@ class RankTransport:
 
 
 class QueueRendezvous:
-    """Message-passing rendezvous: deposits cross per-rank inbox queues."""
+    """Message-passing rendezvous: deposits cross per-rank inbox queues.
+
+    Process ranks share no memory, so every rank receives all deposits and
+    applies the collective's ``close`` itself; ``close`` is a pure
+    function of the deposits, so each rank computes the same product the
+    shared-memory rendezvous computes once per cohort.
+    """
 
     def __init__(self, transport: RankTransport):
         self._t = transport
         self._seq = 0
 
-    def exchange(self, rank, op, value, clock_now):
+    def exchange(self, rank, op, value, clock_now, close):
         t = self._t
         if t.aborted:
             raise WorkerAborted("sibling rank failed")
@@ -295,7 +301,7 @@ class QueueRendezvous:
         for src in range(t.n):
             if src != rank:
                 ops[src], values[src], clocks[src] = t.wait_coll(src, seq)
-        return ops, values, max(clocks)
+        return close(ops, values, max(clocks))
 
     def abort(self) -> None:
         self._t.broadcast_abort()

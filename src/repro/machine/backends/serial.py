@@ -28,6 +28,7 @@ import time
 from typing import Any
 
 from ...errors import CommunicationError, WorkerAborted
+from ..barrier import Outcome, close_cohort, cohort_result
 from ..channels import Mailbox, MessageBoard
 from ..clock import LogicalClock
 from ..collectives import CollectiveEngine, SharedRendezvous
@@ -126,10 +127,11 @@ class _TokenScheduler:
 
 
 class _CooperativeBarrier:
-    """Sense-reversing barrier that yields the scheduler token while waiting.
+    """One-crossing barrier that yields the scheduler token while waiting.
 
     API-compatible with :class:`~repro.machine.barrier.AbortableBarrier`
-    (``wait``/``abort``/``aborted``) so it slots straight into a
+    (``wait``/``abort``/``aborted``, last arriver runs the cohort action)
+    so it slots straight into a
     :class:`~repro.machine.collectives.SharedRendezvous`.
     """
 
@@ -139,6 +141,7 @@ class _CooperativeBarrier:
         self._arrived = 0
         self._generation = 0
         self._aborted = False
+        self._outcome: Outcome = (None, None)
 
     @property
     def aborted(self) -> bool:
@@ -148,7 +151,7 @@ class _CooperativeBarrier:
         self._aborted = True
         self._scheduler.progress()
 
-    def wait(self, timeout: float | None = None) -> int:
+    def wait(self, timeout: float | None = None, action=None) -> Any:
         if self._aborted:
             raise WorkerAborted("barrier aborted")
         gen = self._generation
@@ -157,12 +160,13 @@ class _CooperativeBarrier:
         if self._arrived == self._n:
             self._arrived = 0
             self._generation += 1
-            return gen
-        while self._generation == gen and not self._aborted:
-            self._scheduler.yield_blocked("barrier")
-        if self._aborted:
-            raise WorkerAborted("barrier aborted")
-        return gen
+            self._outcome = close_cohort(action, gen)
+        else:
+            while self._generation == gen and not self._aborted:
+                self._scheduler.yield_blocked("barrier")
+            if self._generation == gen:
+                raise WorkerAborted("barrier aborted")
+        return cohort_result(self._outcome)
 
 
 class _CooperativeMailbox(Mailbox):

@@ -1,8 +1,9 @@
 """The six parallel primitives of paper Section 2.2, lowered onto rounds.
 
 Functionally, each collective is implemented over a shared rendezvous board
-(deposit per-rank value -> barrier -> read -> barrier), which is exactly what
-a virtual crossbar permits. *Temporally*, each collective is **lowered** by
+(every rank deposits its value and crosses one barrier; the last to arrive
+closes the collective for the whole cohort), which is exactly what a
+virtual crossbar permits. *Temporally*, each collective is **lowered** by
 the machine's :class:`~repro.machine.topology.Topology` into an explicit
 schedule of per-round point-to-point transfers, and the clock advances by
 that schedule's price. On the default ``crossbar`` topology the schedule
@@ -32,20 +33,30 @@ Every collective synchronises clocks (``t_i <- max_j t_j + cost``): the
 algorithms in the paper are bulk-synchronous, and the analysis charges each
 iteration at the pace of the slowest processor (``n_max^(j)`` terms).
 
+Closing a collective computes everything that is the same on every rank
+exactly once: the op-name check, payload sizes, the lowered schedule, the
+transportation word matrix and the pairing validation. Each rank then only
+syncs its own clock, records its own trace event and takes its own result.
+What may legitimately differ between ranks stays per rank: the payload
+size of a rank's own combine/prefix value, and reductions with the rank's
+own op.
+
 Thread-safety: one :class:`CollectiveEngine` serves all ranks of a runtime;
 the rendezvous protocol makes each operation race-free, and the strict SPMD
 discipline (all ranks issue the same sequence of collectives) is validated
 at runtime with an op-name check that turns a desynchronised program into a
-:class:`~repro.errors.RankMismatchError` instead of a hang.
+:class:`~repro.errors.RankMismatchError` on every rank instead of a hang.
 
 The *rendezvous* — how per-rank deposits physically meet — is pluggable so
 every execution backend shares the cost/semantics logic above it:
 
 * :class:`SharedRendezvous` (default) — shared slots + an abortable
-  barrier; used by the ``threaded`` backend, and by the ``serial`` backend
-  with a cooperative barrier.
-* the ``process`` backend supplies a message-passing rendezvous over
-  multiprocessing queues (:mod:`repro.machine.backends.process`).
+  barrier whose last arriver closes the cohort; used by the ``threaded``
+  backend, and by the ``serial`` backend with a cooperative barrier.
+* the ``process`` and ``pool`` backends supply a message-passing
+  rendezvous over multiprocessing queues
+  (:mod:`repro.machine.backends._shm`); their ranks share no memory, so
+  each closes the collective for itself.
 """
 
 from __future__ import annotations
@@ -55,7 +66,7 @@ import os
 import sys
 import zlib
 from collections import Counter
-from typing import Any, Callable, Protocol, Sequence
+from typing import Any, Callable, Protocol, Sequence, TypeVar
 
 import numpy as np
 
@@ -63,7 +74,7 @@ from ..errors import ConfigurationError, RankMismatchError
 from .barrier import AbortableBarrier
 from .clock import Category, LogicalClock
 from .cost_model import CostModel
-from .topology import CrossbarTopology, Schedule, Topology
+from .topology import CrossbarTopology, Schedule, Topology, transport_words
 from .trace import NullTracer, TraceEvent
 
 __all__ = [
@@ -143,7 +154,7 @@ class LockstepVerifier:
     """Audits that every rank issues the same collective sequence from the
     same call sites (``REPRO_VERIFY=lockstep``).
 
-    The op-name check in :meth:`CollectiveEngine._rendezvous` already turns
+    The op-name check in :meth:`CollectiveEngine._close` already turns
     *different collectives* into a :class:`RankMismatchError`. This verifier
     sharpens it: each rank's deposit token is extended with the issuing call
     site, the rank's collective sequence number, and a running CRC over its
@@ -204,26 +215,44 @@ class LockstepVerifier:
         )
 
 
+T = TypeVar("T")
+
+
 class Rendezvous(Protocol):
     """How per-rank collective deposits physically meet.
 
-    ``exchange`` is called by every rank with its deposit and must return
-    the same ``(ops, values, tmax)`` triple on all of them: the op names
-    and deposited values indexed by rank, plus the maximum clock across
-    ranks. ``abort`` must permanently wake every rank currently (or later)
-    blocked inside ``exchange`` with
-    :class:`~repro.errors.WorkerAborted`.
+    Every rank calls ``exchange`` with its deposit and the collective's
+    ``close(ops, values, tmax)`` callback: the op tokens and deposited
+    values indexed by rank, plus the maximum clock across ranks. Every
+    rank returns what ``close`` returns (or raises what it raises).
+    ``close`` is a pure function of its arguments, so an implementation
+    may call it once for the whole cohort (shared memory) or once on each
+    rank (message passing); the ranks see equal products either way.
+    ``abort`` must permanently wake every rank currently (or later)
+    blocked inside ``exchange`` with :class:`~repro.errors.WorkerAborted`.
     """
 
     def exchange(
-        self, rank: int, op: str, value: Any, clock_now: float
-    ) -> tuple[list[str], list[Any], float]: ...  # pragma: no cover
+        self,
+        rank: int,
+        op: str,
+        value: Any,
+        clock_now: float,
+        close: Callable[[list[str], list[Any], float], T],
+    ) -> T: ...  # pragma: no cover
 
     def abort(self) -> None: ...  # pragma: no cover
 
 
 class SharedRendezvous:
-    """Deposit slots + two barrier waits: the shared-memory rendezvous.
+    """Deposit slots + one barrier crossing: the shared-memory rendezvous.
+
+    Each rank writes its deposit to its own slot and arrives at the
+    barrier. The last to arrive snapshots the slots and runs ``close``
+    once for the cohort while every other rank is parked; every rank
+    leaves with that one product. The snapshot is what makes one crossing
+    enough: once released, a fast rank may overwrite its slot for the next
+    collective while slower ranks still hold this one's product.
 
     Works for any vehicle whose ranks share the interpreter (the
     ``threaded`` and ``serial`` backends); the barrier is injectable so
@@ -236,20 +265,15 @@ class SharedRendezvous:
         self._clocks: list[float] = [0.0] * n_ranks
         self._ops: list[str] = [""] * n_ranks
 
-    def exchange(
-        self, rank: int, op: str, value: Any, clock_now: float
-    ) -> tuple[list[str], list[Any], float]:
+    def exchange(self, rank, op, value, clock_now, close):
         self._slots[rank] = value
         self._clocks[rank] = clock_now
         self._ops[rank] = op
-        self.barrier.wait()
-        ops = list(self._ops)
-        values = list(self._slots)
-        tmax = max(self._clocks)
-        # Second barrier: no rank may overwrite the slots for the *next*
-        # collective before every rank has read this one.
-        self.barrier.wait()
-        return ops, values, tmax
+        return self.barrier.wait(
+            action=lambda: close(
+                list(self._ops), list(self._slots), max(self._clocks)
+            )
+        )
 
     def abort(self) -> None:
         self.barrier.abort()
@@ -319,19 +343,39 @@ class CollectiveEngine:
         op: str,
         value: Any,
         clock: LogicalClock,
-    ) -> tuple[list[Any], float]:
-        """Deposit ``value``; return (all values, max clock across ranks)."""
+        cohort: Callable[[list[Any]], Any] | None = None,
+    ) -> tuple[float, Any]:
+        """Deposit ``value``; return ``(max clock across ranks, product)``.
+
+        The product is ``cohort(values)`` — the collective's cohort-wide
+        quantities, computed once per cohort on a shared-memory rendezvous
+        — or the deposited values themselves when no ``cohort`` is given.
+        ``cohort`` runs only after every rank's op token matched, so it may
+        rely on any argument the token encodes (e.g. the root).
+        """
         token = op if self.verifier is None else self.verifier.annotate(rank, op)
-        ops, values, tmax = self.rendezvous.exchange(rank, token, value, clock.now)
+        return self.rendezvous.exchange(
+            rank, token, value, clock.now,
+            lambda ops, values, tmax: self._close(ops, values, tmax, cohort),
+        )
+
+    def _close(
+        self,
+        ops: list[str],
+        values: list[Any],
+        tmax: float,
+        cohort: Callable[[list[Any]], Any] | None,
+    ) -> tuple[float, Any]:
+        """Close one collective: check the op tokens, then compute the
+        cohort product (raised errors reach every rank)."""
         distinct = set(ops)
         if len(distinct) != 1:
-            self.abort()
             if self.verifier is not None:
                 raise self.verifier.mismatch_error(ops)
             raise RankMismatchError(
                 f"ranks disagree on collective: {sorted(distinct)}"
             )
-        return values, tmax
+        return tmax, values if cohort is None else cohort(values)
 
     def _finish(
         self,
@@ -369,13 +413,19 @@ class CollectiveEngine:
         self, rank: int, value: Any, root: int, clock: LogicalClock, category: Category
     ) -> Any:
         """Paper primitive 1 — one rank's value to all ranks."""
+
+        def cohort(values):
+            result = values[root]
+            m = payload_words(result)
+            sched = self._lower(
+                ("broadcast", root, m),
+                lambda: self.topology.broadcast_schedule(self.model, root, m),
+            )
+            return result, m, sched
+
         t0 = clock.now
-        values, tmax = self._rendezvous(rank, f"broadcast@{root}", value, clock)
-        result = values[root]
-        m = payload_words(result)
-        sched = self._lower(
-            ("broadcast", root, m),
-            lambda: self.topology.broadcast_schedule(self.model, root, m),
+        tmax, (result, m, sched) = self._rendezvous(
+            rank, f"broadcast@{root}", value, clock, cohort
         )
         self._finish(rank, "broadcast", clock, t0, tmax, sched, m, category)
         return result
@@ -391,7 +441,7 @@ class CollectiveEngine:
         """Paper primitive 2 — reduce with a binary associative+commutative
         op; the result is stored on *every* rank (an allreduce)."""
         t0 = clock.now
-        values, tmax = self._rendezvous(rank, "combine", value, clock)
+        tmax, values = self._rendezvous(rank, "combine", value, clock)
         acc = values[0]
         for v in values[1:]:
             acc = op(acc, v)
@@ -421,7 +471,7 @@ class CollectiveEngine:
         global start offsets).
         """
         t0 = clock.now
-        values, tmax = self._rendezvous(rank, "prefix", value, clock)
+        tmax, values = self._rendezvous(rank, "prefix", value, clock)
         if inclusive:
             acc = values[0]
             prefixes = [acc]
@@ -448,12 +498,18 @@ class CollectiveEngine:
         self, rank: int, value: Any, root: int, clock: LogicalClock, category: Category
     ) -> list[Any] | None:
         """Paper primitive 4 — collect one value per rank onto ``root``."""
+
+        def cohort(values):
+            m = max(payload_words(v) for v in values)
+            sched = self._lower(
+                ("gather", root, m),
+                lambda: self.topology.gather_schedule(self.model, root, m),
+            )
+            return values, m, sched
+
         t0 = clock.now
-        values, tmax = self._rendezvous(rank, f"gather@{root}", value, clock)
-        m = max(payload_words(v) for v in values)
-        sched = self._lower(
-            ("gather", root, m),
-            lambda: self.topology.gather_schedule(self.model, root, m),
+        tmax, (values, m, sched) = self._rendezvous(
+            rank, f"gather@{root}", value, clock, cohort
         )
         self._finish(rank, "gather", clock, t0, tmax, sched, m, category)
         return list(values) if rank == root else None
@@ -462,12 +518,18 @@ class CollectiveEngine:
         self, rank: int, value: Any, clock: LogicalClock, category: Category
     ) -> list[Any]:
         """Paper primitive 5 — Global Concatenate (gather to all)."""
+
+        def cohort(values):
+            m = max(payload_words(v) for v in values)
+            sched = self._lower(
+                ("allgather", m),
+                lambda: self.topology.allgather_schedule(self.model, m),
+            )
+            return values, m, sched
+
         t0 = clock.now
-        values, tmax = self._rendezvous(rank, "allgather", value, clock)
-        m = max(payload_words(v) for v in values)
-        sched = self._lower(
-            ("allgather", m),
-            lambda: self.topology.allgather_schedule(self.model, m),
+        tmax, (values, m, sched) = self._rendezvous(
+            rank, "allgather", value, clock, cohort
         )
         self._finish(rank, "allgather", clock, t0, tmax, sched, m, category)
         return list(values)
@@ -492,36 +554,24 @@ class CollectiveEngine:
                 f"alltoallv needs exactly {self.n_ranks} send slots, "
                 f"got {len(sends)}"
             )
-        t0 = clock.now
-        matrix, tmax = self._rendezvous(rank, "alltoallv", list(sends), clock)
-        received = [matrix[src][rank] for src in range(self.n_ranks)]
-        words = [
-            [None if x is None else payload_words(x) for x in row]
-            for row in matrix
-        ]
-        sched = self._lower(
-            ("alltoallv", tuple(tuple(row) for row in words)),
-            lambda: self.topology.alltoallv_schedule(self.model, words),
-        )
-        # Traced words: the max per-rank traffic the [20] formula charges
-        # (self-sends are local copies and excluded), in the historical
-        # expression order so traces stay bit-identical too.
-        out_words = [sum(w for w in row if w is not None) for row in words]
-        out_net = [
-            out_words[i] - (words[i][i] if words[i][i] is not None else 0.0)
-            for i in range(self.n_ranks)
-        ]
-        in_words = [
-            sum(
-                words[src][dst]
-                for src in range(self.n_ranks)
-                if src != dst and words[src][dst] is not None
+
+        def cohort(matrix):
+            words = [
+                [None if x is None else payload_words(x) for x in row]
+                for row in matrix
+            ]
+            sched = self._lower(
+                ("alltoallv", tuple(tuple(row) for row in words)),
+                lambda: self.topology.alltoallv_schedule(self.model, words),
             )
-            for dst in range(self.n_ranks)
-        ]
-        t = max(
-            max(o, i_) for o, i_ in zip(out_net, in_words)
-        ) if self.n_ranks else 0.0
+            # Traced words: the max per-rank traffic the [20] formula charges.
+            return matrix, sched, transport_words(words)
+
+        t0 = clock.now
+        tmax, (matrix, sched, t) = self._rendezvous(
+            rank, "alltoallv", list(sends), clock, cohort
+        )
+        received = [matrix[src][rank] for src in range(self.n_ranks)]
         self._finish(rank, "alltoallv", clock, t0, tmax, sched, t, category)
         return received
 
@@ -542,26 +592,29 @@ class CollectiveEngine:
         the machine, mirroring the paper's Section 4.2 analysis; pairs that
         cross a cluster boundary on the two-level shape pay the inter link.
         """
+
+        def cohort(values):
+            # Validate the pairing and collect the round's pair traffic.
+            pairs: list[tuple[int, int, float, float]] = []
+            for r, (pr, pl) in enumerate(values):
+                if pr is None or pr < r:
+                    continue
+                back, their = values[pr]
+                if back != r:
+                    raise RankMismatchError(
+                        f"pairwise_exchange: rank {r} paired with {pr} but "
+                        f"rank {pr} paired with {back}"
+                    )
+                pairs.append((r, pr, payload_words(pl), payload_words(their)))
+            sched = self._lower(
+                ("pairwise", tuple(pairs)),
+                lambda: self.topology.pairwise_schedule(self.model, pairs),
+            )
+            return values, sched
+
         t0 = clock.now
-        values, tmax = self._rendezvous(
-            rank, "pairwise_exchange", (partner, payload), clock
-        )
-        # Validate pairing and collect the round's pair traffic once per rank.
-        pairs: list[tuple[int, int, float, float]] = []
-        for r, (pr, pl) in enumerate(values):
-            if pr is None or pr < r:
-                continue
-            back, their = values[pr]
-            if back != r:
-                self.abort()
-                raise RankMismatchError(
-                    f"pairwise_exchange: rank {r} paired with {pr} but rank "
-                    f"{pr} paired with {back}"
-                )
-            pairs.append((r, pr, payload_words(pl), payload_words(their)))
-        sched = self._lower(
-            ("pairwise", tuple(pairs)),
-            lambda: self.topology.pairwise_schedule(self.model, pairs),
+        tmax, (values, sched) = self._rendezvous(
+            rank, "pairwise_exchange", (partner, payload), clock, cohort
         )
         result = values[partner][1] if partner is not None else None
         self._finish(
@@ -579,7 +632,7 @@ class CollectiveEngine:
     def barrier_sync(self, rank: int, clock: LogicalClock, category: Category) -> None:
         """Pure synchronisation: clocks meet at the max plus one combine."""
         t0 = clock.now
-        _, tmax = self._rendezvous(rank, "barrier", None, clock)
+        tmax, _ = self._rendezvous(rank, "barrier", None, clock)
         sched = self._lower(
             ("barrier",),
             lambda: self.topology.barrier_schedule(self.model),

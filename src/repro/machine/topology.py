@@ -63,6 +63,7 @@ __all__ = [
     "hypercube_partner",
     "hypercube_rounds",
     "tree_children",
+    "transport_words",
     "Transfer",
     "Schedule",
     "Topology",
@@ -210,6 +211,33 @@ class Schedule:
     @property
     def n_rounds(self) -> int:
         return len(self.rounds)
+
+
+def transport_words(words: Sequence[Sequence[float | None]]) -> float:
+    """The ``t`` of the [20] transportation price.
+
+    ``words[src][dst]`` is a message size in words (``None`` for no
+    message). ``t`` is the maximum over ranks of max(outgoing, incoming)
+    words, self-sends excluded (they are local copies). Both the crossbar
+    price and the traced words of ``alltoallv`` use it, evaluated in the
+    historical expression order so simulated times and traces stay
+    bit-identical to the pre-schedule engine.
+    """
+    p = len(words)
+    out_words = [sum(w for w in row if w is not None) for row in words]
+    out_net = [
+        out_words[i] - (words[i][i] if words[i][i] is not None else 0.0)
+        for i in range(p)
+    ]
+    in_words = [
+        sum(
+            words[src][dst]
+            for src in range(p)
+            if src != dst and words[src][dst] is not None
+        )
+        for dst in range(p)
+    ]
+    return max(max(o, i_) for o, i_ in zip(out_net, in_words)) if p else 0.0
 
 
 def _round_congestion(rounds: Sequence[Sequence[Transfer]]) -> int:
@@ -497,24 +525,7 @@ class CrossbarTopology(Topology):
 
     def alltoallv_schedule(self, model, words):
         p = self.p
-        # The historical [20] transportation price, evaluated in the exact
-        # expression order of the pre-schedule engine (bit-identity).
-        out_words = [
-            sum(w for w in row if w is not None) for row in words
-        ]
-        out_net = [
-            out_words[i] - (words[i][i] if words[i][i] is not None else 0.0)
-            for i in range(p)
-        ]
-        in_words = [
-            sum(
-                words[src][dst]
-                for src in range(p)
-                if src != dst and words[src][dst] is not None
-            )
-            for dst in range(p)
-        ]
-        t = max(max(o, i_) for o, i_ in zip(out_net, in_words)) if p else 0.0
+        t = transport_words(words)
         max_msgs = max(
             sum(1 for d, w in enumerate(row) if w is not None and d != i)
             for i, row in enumerate(words)

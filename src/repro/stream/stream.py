@@ -53,17 +53,33 @@ __all__ = ["StreamingArray", "WINDOW_MODES"]
 WINDOW_MODES: tuple[str, ...] = ("sliding", "tumbling")
 
 
+def _advance_chain(prev: list | None, parts: list[np.ndarray]) -> list:
+    """Per-rank running SHA-1s (fresh when ``prev`` is None) advanced by
+    exactly ``parts``' bytes; ``prev`` itself is left untouched."""
+    if prev is None:
+        chain = [hashlib.sha1() for _ in parts]
+    else:
+        chain = [h.copy() for h in prev]
+    for hasher, part in zip(chain, parts):
+        hasher.update(np.ascontiguousarray(part).tobytes())
+    return chain
+
+
 class _Batch:
     """One append: per-rank slices + lazily-built sketches and digests."""
 
-    __slots__ = ("batch_id", "parts", "count", "sketches", "_digests")
+    __slots__ = ("batch_id", "parts", "count", "sketches", "_digests", "chain")
 
-    def __init__(self, batch_id: int, parts: list[np.ndarray], count: int):
+    def __init__(self, batch_id: int, parts: list[np.ndarray], count: int,
+                 chain: list | None):
         self.batch_id = batch_id
         self.parts = parts
         self.count = count
         self.sketches: dict[float, list[QuantileSketch]] = {}
         self._digests: list[bytes] | None = None
+        #: Append-only streams: the per-rank running hashes of the stream
+        #: up to and including this batch (the fingerprint unit there).
+        self.chain = chain
 
     def rank_sketches(self, eps: float) -> list[QuantileSketch]:
         """Per-rank sketches of this batch's slices (built once per eps)."""
@@ -137,14 +153,13 @@ class StreamingArray(DistributedArray):
         #: Monotone mutation counter (append or retirement).
         self.generation = 0
         self._next_batch_id = 0
-        self._rank_hashers: list | None = None
         #: Set by the first retirement: the fingerprint then chains live
         #: per-batch digests instead of the running per-rank byte hashes
         #: (see :attr:`fingerprint`).
         self._windowed = False
-        self._shards_cache: list[np.ndarray] | None = None
-        self._fingerprint: str | None = None
-        self._sketch_cache: dict = {}
+        #: Derived views of the live window (shards, fingerprint, sketches
+        #: per eps), each stored as ``(generation, value)``.
+        self._memo: dict = {}
 
     # ------------------------------------------------------------- ingest
 
@@ -177,18 +192,18 @@ class StreamingArray(DistributedArray):
         p = self.machine.n_procs
         base = self.appended_total
         parts = [batch[(r - base) % p:: p].copy() for r in range(p)]
+        chain: list | None = None
         if not self._windowed:
-            # Advance the per-rank hash chains by exactly this batch's
-            # bytes (materialise the chains BEFORE registering the batch,
-            # or a lazy rebuild would include it and double-hash). Once a
-            # retirement has switched the array to digest-chain mode, the
-            # batch digest is the fingerprint unit instead.
-            hashers = self._hashers()
-            for hasher, part in zip(hashers, parts):
-                hasher.update(np.ascontiguousarray(part).tobytes())
+            # The previous batch's per-rank hash chains advanced by exactly
+            # this batch's bytes, carried on the batch so the fingerprint
+            # derives from the batch list alone. Once a retirement has
+            # switched the array to digest-chain mode, the batch digest is
+            # the fingerprint unit instead.
+            prev = self._batches[-1].chain if self._batches else None
+            chain = _advance_chain(prev, parts)
         bid = self._next_batch_id
         self._next_batch_id += 1
-        self._batches.append(_Batch(bid, parts, int(batch.size)))
+        self._batches.append(_Batch(bid, parts, int(batch.size), chain))
         self.appended_total += int(batch.size)
         self.batches_appended += 1
         self._bump()
@@ -222,24 +237,35 @@ class StreamingArray(DistributedArray):
         stream of the same content would have been dealt)."""
         self.batches_retired += 1
         self._windowed = True
-        self._rank_hashers = None
         self._bump()
 
     def _bump(self) -> None:
         self.generation += 1
-        self._shards_cache = None
-        self._fingerprint = None
-        self._sketch_cache.clear()
+        self._memo.clear()
 
-    def _hashers(self) -> list:
-        if self._rank_hashers is None:
-            self._rank_hashers = [
-                hashlib.sha1() for _ in range(self.machine.n_procs)
-            ]
-            for b in self._batches:
-                for hasher, part in zip(self._rank_hashers, b.parts):
-                    hasher.update(np.ascontiguousarray(part).tobytes())
-        return self._rank_hashers
+    def _live(self) -> list[_Batch]:
+        """A snapshot of the live batch list (appends and retirements
+        mutate the list in place, so a reader must not iterate it)."""
+        return list(self._batches)
+
+    def _derived(self, key, build):
+        """The memoised view ``key`` of the live window.
+
+        A flush thread may read the stream while another thread appends,
+        so the generation is read *before* the batch snapshot is taken and
+        the view is stored only if no mutation happened meanwhile. A view
+        built from a window that has since moved is still returned to its
+        caller (it is a consistent past state) but never memoised, and a
+        memo is served only to readers of the generation that built it.
+        """
+        gen = self.generation
+        hit = self._memo.get(key)
+        if hit is not None and hit[0] == gen:
+            return hit[1]
+        value = build(self._live())
+        if self.generation == gen:
+            self._memo[key] = (gen, value)
+        return value
 
     # ------------------------------------------------------------ identity
 
@@ -254,28 +280,34 @@ class StreamingArray(DistributedArray):
         mutation — append or retirement — changes the fingerprint, which
         is what makes Session cache invalidation precise.
         """
-        if self._fingerprint is None:
-            h = hashlib.sha1()
-            h.update(f"stream:{self.machine.n_procs}:{self._dtype}".encode())
-            if self._windowed:
-                h.update(b"windowed")
-                for b in self._batches:
-                    for digest in b.rank_digests():
-                        h.update(digest)
-            else:
-                for hasher in self._hashers():
-                    h.update(hasher.digest())
-            self._fingerprint = h.hexdigest()
-        return self._fingerprint
+        return self._derived("fingerprint", self._build_fingerprint)
+
+    def _build_fingerprint(self, batches: list[_Batch]) -> str:
+        h = hashlib.sha1()
+        h.update(f"stream:{self.machine.n_procs}:{self._dtype}".encode())
+        if self._windowed:
+            h.update(b"windowed")
+            for b in batches:
+                for digest in b.rank_digests():
+                    h.update(digest)
+        else:
+            last = batches[-1].chain if batches else None
+            if last is None:
+                last = [hashlib.sha1() for _ in range(self.machine.n_procs)]
+            for hasher in last:
+                h.update(hasher.digest())
+        return h.hexdigest()
 
     def invalidate(self) -> None:
         """Forget memoised identity/layout/summary state (defensive parity
         with :meth:`DistributedArray.invalidate` for callers that mutated
         batch contents in place; normal mutation paths need only
         :meth:`_bump`)."""
-        self._rank_hashers = None
+        prev: list | None = None
         for b in self._batches:
             b.forget_derived()
+            if not self._windowed:
+                b.chain = prev = _advance_chain(prev, b.parts)
         self._bump()
 
     # -------------------------------------------------------------- layout
@@ -283,19 +315,20 @@ class StreamingArray(DistributedArray):
     @property
     def shards(self) -> list[np.ndarray]:
         """The live window materialised per rank (cached until mutation)."""
-        if self._shards_cache is None:
-            p = self.machine.n_procs
-            dtype = self._dtype if self._dtype is not None else np.float64
-            per_rank: list[list[np.ndarray]] = [[] for _ in range(p)]
-            for b in self._batches:
-                for r in range(p):
-                    if b.parts[r].size:
-                        per_rank[r].append(b.parts[r])
-            self._shards_cache = [
-                np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
-                for parts in per_rank
-            ]
-        return self._shards_cache
+        return self._derived("shards", self._build_shards)
+
+    def _build_shards(self, batches: list[_Batch]) -> list[np.ndarray]:
+        p = self.machine.n_procs
+        dtype = self._dtype if self._dtype is not None else np.float64
+        per_rank: list[list[np.ndarray]] = [[] for _ in range(p)]
+        for b in batches:
+            for r in range(p):
+                if b.parts[r].size:
+                    per_rank[r].append(b.parts[r])
+        return [
+            np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
+            for parts in per_rank
+        ]
 
     @property
     def live_batch_ids(self) -> list[int]:
@@ -316,15 +349,15 @@ class StreamingArray(DistributedArray):
         rides: no query-launch work is spent summarising the shards.
         """
         eps = float(eps)
-        cached = self._sketch_cache.get(eps)
-        if cached is None:
-            per_batch = [b.rank_sketches(eps) for b in self._batches]
-            cached = [
+
+        def build(batches: list[_Batch]) -> list[QuantileSketch]:
+            per_batch = [b.rank_sketches(eps) for b in batches]
+            return [
                 merge_all((ranks[r] for ranks in per_batch), eps=eps)
                 for r in range(self.machine.n_procs)
             ]
-            self._sketch_cache[eps] = cached
-        return cached
+
+        return self._derived(("sketches", eps), build)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

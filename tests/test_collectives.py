@@ -1,12 +1,16 @@
 """Collectives: semantic correctness + the paper's exact cost formulas."""
 
 import operator
+import threading
 
 import numpy as np
 import pytest
 
+import repro
 from repro.errors import ConfigurationError, RankMismatchError, WorkerError
-from repro.machine import CostModel, payload_words, run_spmd
+from repro.machine import CostModel, collectives, payload_words, run_spmd
+from repro.machine.barrier import AbortableBarrier
+from repro.machine.collectives import CollectiveEngine, SharedRendezvous
 from repro.machine.cost_model import ComputeCosts
 
 # A cost model with easy numbers for hand-checking formulas.
@@ -309,6 +313,116 @@ class TestMismatchDetection:
         with pytest.raises(WorkerError) as ei:
             run_spmd(prog, 3)
         assert isinstance(ei.value.cause, RankMismatchError)
+
+
+def _diverging_program(ctx):
+    """Rank 0 issues a different collective; every rank reports what it
+    caught (the run itself then completes)."""
+    try:
+        if ctx.rank == 0:
+            ctx.comm.combine(1)
+        else:
+            ctx.comm.broadcast(1, root=0)
+    except RankMismatchError as exc:
+        return str(exc)
+    return None
+
+
+def _mispaired_program(ctx):
+    partner = {0: 1, 1: 2, 2: 0}[ctx.rank]
+    try:
+        ctx.comm.pairwise_exchange(partner, ctx.rank)
+    except RankMismatchError as exc:
+        return str(exc)
+    return None
+
+
+class TestRendezvousContract:
+    """One crossing per collective: the closing runs once (shared memory)
+    or once per rank (message passing), and its diagnostics reach every
+    rank either way."""
+
+    BACKENDS = ["serial", "threaded", "process"]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_op_mismatch_is_raised_by_every_rank(self, backend, monkeypatch):
+        monkeypatch.delenv("REPRO_VERIFY", raising=False)
+        res = run_spmd(_diverging_program, 3, backend=backend)
+        assert res.values[0] is not None
+        assert "ranks disagree on collective" in res.values[0]
+        assert res.values == [res.values[0]] * 3
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_lockstep_diagnostic_is_raised_by_every_rank(self, backend, monkeypatch):
+        monkeypatch.setenv("REPRO_VERIFY", "lockstep")
+        res = run_spmd(_diverging_program, 3, backend=backend)
+        assert res.values[0] is not None
+        assert "lockstep verification failed" in res.values[0]
+        assert "divergent ranks: [0]" in res.values[0]
+        assert res.values == [res.values[0]] * 3
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_pairing_error_is_raised_by_every_rank(self, backend):
+        res = run_spmd(_mispaired_program, 3, backend=backend)
+        assert res.values[0] is not None
+        assert "pairwise_exchange" in res.values[0]
+        assert res.values == [res.values[0]] * 3
+
+    def test_one_crossing_per_collective_receipt(self, monkeypatch):
+        """The receipt that keeps the one-crossing gain from regressing
+        silently: on one fast_randomized launch (n=2^17, p=8), every
+        collective costs each rank exactly one barrier crossing, and each
+        alltoallv sizes its p x p payload matrix once, not once per rank."""
+        p = 8
+        lock = threading.Lock()
+        local = threading.local()
+        counts = {"waits": 0, "exchanges": 0, "a2a_calls": 0, "a2a_words": 0}
+
+        def bump(key):
+            with lock:
+                counts[key] += 1
+
+        wait, exchange = AbortableBarrier.wait, SharedRendezvous.exchange
+        alltoallv, words = CollectiveEngine.alltoallv, collectives.payload_words
+
+        def counting_wait(self, *args, **kwargs):
+            bump("waits")
+            return wait(self, *args, **kwargs)
+
+        def counting_exchange(self, *args, **kwargs):
+            bump("exchanges")
+            return exchange(self, *args, **kwargs)
+
+        def counting_alltoallv(self, *args, **kwargs):
+            bump("a2a_calls")
+            local.in_a2a = True
+            try:
+                return alltoallv(self, *args, **kwargs)
+            finally:
+                local.in_a2a = False
+
+        def counting_words(obj):
+            if getattr(local, "in_a2a", False):
+                bump("a2a_words")
+            return words(obj)
+
+        monkeypatch.setattr(AbortableBarrier, "wait", counting_wait)
+        monkeypatch.setattr(SharedRendezvous, "exchange", counting_exchange)
+        monkeypatch.setattr(CollectiveEngine, "alltoallv", counting_alltoallv)
+        monkeypatch.setattr(collectives, "payload_words", counting_words)
+        monkeypatch.delenv("REPRO_VERIFY", raising=False)
+
+        data = repro.Machine(n_procs=p).generate(2**17, seed=3)
+        k = data.n // 2
+        rep = repro.select(
+            data, k, algorithm="fast_randomized", backend="threaded"
+        )
+        assert rep.value == np.sort(data.gather())[k - 1]
+        assert counts["exchanges"] > 0 and counts["exchanges"] % p == 0
+        assert counts["waits"] == counts["exchanges"]
+        cohorts = counts["a2a_calls"] // p
+        assert cohorts > 0
+        assert counts["a2a_words"] <= p * p * cohorts
 
 
 class TestDeterminism:

@@ -12,6 +12,8 @@
   backends, with full launch-evidence identity across backends.
 """
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -103,7 +105,7 @@ class TestStreamingArray:
             s.append(np.arange(50.0) + 100 * i)
             fingerprints.add(s.fingerprint)
         assert len(fingerprints) == 6  # every mutation changed identity
-        assert s._rank_hashers is None  # digest-chain mode: no running hash
+        assert s._batches[-1].chain is None  # digest-chain mode: no running hash
         digests = [b.rank_digests() for b in s._batches]
         s.append(np.arange(50.0) + 999)
         s.fingerprint
@@ -147,6 +149,71 @@ class TestStreamingArray:
         s.append(rng.random(200))  # retires the first batch
         sketches = s.local_sketches(0.05)
         assert sum(sk.count for sk in sketches) == s.n
+
+
+class TestConcurrentReaders:
+    """A flush thread may read a stream while another thread appends: a
+    view built from the window before an append must never be memoised
+    past it (a stale memo answers later queries from the old window)."""
+
+    VIEWS = {
+        "shards": lambda s: s.shards,
+        "fingerprint": lambda s: s.fingerprint,
+        "sketches": lambda s: s.local_sketches(0.05),
+    }
+
+    @staticmethod
+    def _same(view, a, b):
+        if view == "fingerprint":
+            return a == b
+        if view == "shards":
+            return all(np.array_equal(x, y) for x, y in zip(a, b))
+        return all(
+            np.array_equal(x.keys, y.keys) and np.array_equal(x.rmin, y.rmin)
+            and np.array_equal(x.rmax, y.rmax)
+            for x, y in zip(a, b)
+        )
+
+    @pytest.mark.parametrize("window", [None, 3])
+    @pytest.mark.parametrize("view", sorted(VIEWS))
+    def test_reader_paused_across_an_append_leaves_no_stale_memo(
+        self, view, window
+    ):
+        chunks = [np.arange(40.0) + 100 * i for i in range(4)]
+        late = np.arange(40.0) + 999
+        s = batch_stream(Machine(P), chunks, window=window)
+        before = batch_stream(Machine(P), chunks, window=window)
+        after = batch_stream(Machine(P), chunks + [late], window=window)
+        read = self.VIEWS[view]
+
+        # Pause the reader right after it snapshots the batch list.
+        snapshotted, resume = threading.Event(), threading.Event()
+        live = s._live
+        paused = []
+
+        def pausing_live():
+            batches = live()
+            if not paused:
+                paused.append(True)
+                snapshotted.set()
+                assert resume.wait(10)
+            return batches
+
+        s._live = pausing_live
+        got = []
+        reader = threading.Thread(target=lambda: got.append(read(s)))
+        reader.start()
+        assert snapshotted.wait(10)
+        s.append(late)  # completes while the reader holds the old window
+        resume.set()
+        reader.join(10)
+        assert not reader.is_alive()
+
+        # The reader answered from the window it snapshotted...
+        assert self._same(view, got[0], read(before))
+        # ...but did not memoise it: the stream now serves the new window.
+        assert self._same(view, read(s), read(after))
+        assert all(gen == s.generation for gen, _ in s._memo.values())
 
 
 class TestStreamingServing:
