@@ -9,7 +9,6 @@
 
 from .figures import EXPERIMENTS, FigureResult, SCALES, run_experiment
 from .harness import PAPER_P_SWEEP, PointResult, run_point, run_series
-from .model import Prediction, predict
 from .report import fmt_time, render_bar_rows, render_series_table, write_csv
 
 __all__ = [
@@ -21,8 +20,6 @@ __all__ = [
     "PointResult",
     "run_point",
     "run_series",
-    "Prediction",
-    "predict",
     "fmt_time",
     "render_bar_rows",
     "render_series_table",

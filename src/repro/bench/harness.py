@@ -25,6 +25,7 @@ from ..core.session import Session
 from ..errors import ConfigurationError
 from ..kernels.select import median_rank
 from ..machine.cost_model import CM5, CostModel, cm5_two_level
+from ..selection.cost import CLOSED_FORM_ALGORITHMS
 from ..selection.fast_randomized import FastRandomizedParams
 
 __all__ = [
@@ -1424,7 +1425,6 @@ def run_planner_point(
     corrections — which is exactly the production calibration loop,
     compressed into one cell.
     """
-    from ..planner.cost import CLOSED_FORM_ALGORITHMS
     from ..planner.planner import choose_plan
     from ..planner.residuals import ResidualStore, use_store
 

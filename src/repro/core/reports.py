@@ -94,11 +94,12 @@ class _RunReport:
     #: ``"two-level"``; cached reports carry the originating launch's).
     topology: str = ""
     #: The cost model's closed-form *prediction* of the launch's simulated
-    #: time (:func:`repro.bench.model.predict`), attached at report
-    #: assembly for the four algorithms with closed forms; ``None`` when no
-    #: prediction exists (hybrids, sort-based, non-crossbar shapes). The
-    #: predicted-vs-actual residual is the future planner's calibration
-    #: feed (see :attr:`cost_residual`).
+    #: time (:func:`repro.selection.cost.predict` on the launch's
+    #: topology), attached at report assembly for single-target launches of
+    #: the four algorithms with closed forms; ``None`` when no prediction
+    #: exists (hybrids, sort-based, multi-target batches, sketch-prefiltered
+    #: launches). The predicted-vs-actual residual (:attr:`cost_residual`)
+    #: feeds the planner's residual store.
     predicted_time: float | None = None
 
     @property

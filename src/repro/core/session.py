@@ -51,6 +51,7 @@ from ..selection import (
     contract_multi_select,
     sort_based_multi_select,
 )
+from ..selection.cost import predict
 from .plan import SelectionPlan, as_plan, validate_rank, validate_targets
 from .reports import MultiSelectionReport, SelectionReport
 
@@ -144,12 +145,6 @@ def resolve_multi(plan: SelectionPlan):
     return cfg, balancer_name, _MultiRunner(plan.algorithm, plan.fast_params)
 
 
-def validate_ks(ks: Sequence[int], n: int) -> list[int]:
-    """Coerce and range-check a rank set (shared by both launch paths);
-    delegates to the :func:`repro.core.plan.validate_targets` seam."""
-    return validate_targets(ks, n)
-
-
 def empty_multi_report(
     data: "DistributedArray", plan: SelectionPlan, balancer_name: str
 ) -> MultiSelectionReport:
@@ -171,29 +166,18 @@ def predict_simulated(plan: SelectionPlan, n: int, p: int, model,
                       topology) -> float | None:
     """Closed-form predicted simulated seconds for one launch, or ``None``.
 
-    Delegates to :func:`repro.planner.cost.predict_on_topology` (lazy
-    import: the planner package imports the bench layer, which imports
-    core), which prices the crossbar with the legacy closed forms
-    bit-identically and every other shape by injecting that topology's
-    lowered-Schedule collective prices into the same skeleton.
-    ``topology`` is whatever the launch resolved against — a spec string,
-    a :class:`~repro.machine.topology.Topology` instance, or ``None`` for
+    :func:`repro.selection.cost.predict` on the topology the launch
+    resolved against — a spec string, a
+    :class:`~repro.machine.topology.Topology` instance, or ``None`` for
     the default. Only the four algorithms with closed forms predict —
     hybrids and sort-based plans return ``None`` rather than a
     knowingly-wrong number, as do sketch-prefiltered launches (they do
     work the closed forms don't model).
     """
-    if n <= 0:
-        return None
-    if plan.prefilter is not None:
+    if n <= 0 or plan.prefilter is not None:
         return None
     try:
-        from ..planner.cost import predict_on_topology
-    except ImportError:  # pragma: no cover - planner is always shipped
-        return None
-    try:
-        return predict_on_topology(plan.algorithm, n, p, model,
-                                   topology).total
+        return predict(plan.algorithm, n, p, model, topology).total
     except ConfigurationError:
         return None
 
@@ -216,7 +200,7 @@ def observe_launch(data: "DistributedArray", plan: SelectionPlan,
         ).observe(residual)
         # Self-calibration: the planner's residual store learns a
         # per-(algorithm, topology, p-bucket) correction from every
-        # predicted launch (lazy import: planner imports bench).
+        # predicted launch (lazy import: the planner imports core).
         from ..planner.residuals import default_store
 
         default_store().observe(plan.algorithm, result.topology, data.p,
@@ -344,7 +328,7 @@ def execute_select(
     """
     k = validate_rank(k, data.n)
     if plan.algorithm == "auto":
-        # Cost-model-driven choice (lazy import: planner imports bench).
+        # Cost-model-driven choice (lazy import: the planner imports core).
         from ..planner.planner import resolve_auto
 
         plan = resolve_auto(data, plan)
@@ -387,7 +371,7 @@ def execute_multi_select(
             from ..stream.refine import execute_sketch_multi_select
 
             return execute_sketch_multi_select(data, ks, plan)
-        ks = validate_ks(ks, data.n)
+        ks = validate_targets(ks, data.n)
         cfg, balancer_name, runner = resolve_multi(plan)
         if not ks:
             return empty_multi_report(data, plan, balancer_name)
@@ -650,9 +634,6 @@ class Session:
                 "query data lives on a different Machine than this session"
             )
 
-    def _check_rank(self, k: int, n: int) -> int:
-        return validate_rank(k, n)
-
     # LRU cache primitives -------------------------------------------------
 
     def _cache_get(self, key: tuple) -> _CacheEntry | None:
@@ -693,7 +674,7 @@ class Session:
         until :meth:`flush` — same-array queries coalesce into one batched
         launch."""
         self._check_data(data)
-        k = self._check_rank(k, data.n)
+        k = validate_rank(k, data.n)
         fut = SelectionFuture(self, data, k, self._plan_for(plan, overrides))
         self._pending.append(fut)
         self.stats.queries += 1
@@ -720,9 +701,9 @@ class Session:
         """Queue a whole rank set as one future (``values`` align with
         ``ks``, duplicates and arbitrary order preserved)."""
         self._check_data(data)
-        checked = [self._check_rank(k, data.n) for k in ks]
         fut = MultiSelectionFuture(
-            self, data, checked, self._plan_for(plan, overrides)
+            self, data, validate_targets(ks, data.n),
+            self._plan_for(plan, overrides),
         )
         self._pending.append(fut)
         self.stats.queries += 1
@@ -859,7 +840,7 @@ class Session:
         and simulated times are bit-identical to the pre-Session API.
         """
         self._check_data(data)
-        k = self._check_rank(k, data.n)
+        k = validate_rank(k, data.n)
         plan = self._plan_for(plan, overrides)
         self.stats.queries += 1
         key = None
@@ -897,7 +878,7 @@ class Session:
                 self.stats.launches += 1
             return report
         fut = MultiSelectionFuture(
-            self, data, [self._check_rank(k, data.n) for k in ks], plan
+            self, data, validate_targets(ks, data.n), plan
         )
         # Not a coalesced deferred query: keep it out of that counter.
         self._serve_group(data.fingerprint, plan.cache_key(), [fut],

@@ -31,7 +31,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..core import Finding, ModuleContext, Rule, register_rule
+from ..core import ModuleContext, Rule, register_rule
 from ..spmd import (
     collect_comm_aliases,
     collective_calls,

@@ -448,6 +448,23 @@ class Topology(abc.ABC):
     def barrier_schedule(self, model: CostModel) -> Schedule:
         """Pure synchronisation (a one-word combine)."""
 
+    # -- collective prices --------------------------------------------------
+    # What a cost predictor reads (repro.selection.cost): the seconds one
+    # collective charges, without its rounds. By default that is the
+    # lowered schedule's cost; shapes with closed forms override these.
+
+    def combine_cost(self, model: CostModel, m: float) -> float:
+        """Seconds one ``m``-word combine charges every rank."""
+        return self.combine_schedule(model, m).cost
+
+    def gather_cost(self, model: CostModel, root: int, m: float) -> float:
+        """Seconds one gather of ``m`` words per rank onto ``root`` charges."""
+        return self.gather_schedule(model, root, m).cost
+
+    def allgather_cost(self, model: CostModel, m: float) -> float:
+        """Seconds one allgather of ``m`` words per rank charges."""
+        return self.allgather_schedule(model, m).cost
+
     # -- description --------------------------------------------------------
 
     def describe(self) -> str:
@@ -468,10 +485,11 @@ class CrossbarTopology(Topology):
 
     Schedules mirror the tree/hypercube algorithms whose costs the paper
     states (so round counts and congestion are still meaningful), but the
-    schedule ``cost`` keeps the historical closed-form expressions,
-    evaluated in the exact same order as the pre-schedule engine —
-    simulated times are bit-identical to ``main`` and pinned by
-    ``tests/test_topology.py`` / ``benchmarks/bench_topology.py``.
+    schedule ``cost`` is the paper's closed form, written once in the
+    ``*_cost`` price methods and evaluated in the exact same order as the
+    pre-schedule engine — simulated times are bit-identical to ``main``
+    and pinned by ``tests/test_topology.py`` /
+    ``benchmarks/bench_topology.py``.
     """
 
     name = "crossbar"
@@ -479,8 +497,16 @@ class CrossbarTopology(Topology):
     def _rot(self, root: int):
         return lambda v: (v + root) % self.p
 
-    def _log_rounds(self) -> int:
-        return log2_ceil(self.p)
+    def combine_cost(self, model, m):
+        # ceil(log2 p) rounds of one m-word message: the paper's price for
+        # every tree collective (broadcast, combine, prefix, barrier).
+        return (model.tau + model.mu * m) * log2_ceil(self.p)
+
+    def gather_cost(self, model, root, m):
+        return model.tau * log2_ceil(self.p) + model.mu * m * (self.p - 1)
+
+    def allgather_cost(self, model, m):
+        return self.gather_cost(model, 0, m)
 
     def broadcast_schedule(self, model, root, m):
         real = self._rot(root)
@@ -488,23 +514,22 @@ class CrossbarTopology(Topology):
             [Transfer(real(s), real(d), m) for s, d in rnd]
             for rnd in _binomial_rounds(self.p)
         ]
-        cost = (model.tau + model.mu * m) * self._log_rounds()
-        return self._schedule("broadcast", rounds, model, cost=cost)
+        return self._schedule("broadcast", rounds, model,
+                              cost=self.combine_cost(model, m))
 
-    def _butterfly(self, op, model, m, cost):
+    def _butterfly(self, op, model, m):
         rounds = [
             [t for a, b in pairs for t in (Transfer(a, b, m), Transfer(b, a, m))]
             for pairs in hypercube_rounds(self.p)
         ]
-        return self._schedule(op, rounds, model, cost=cost)
+        return self._schedule(op, rounds, model,
+                              cost=self.combine_cost(model, m))
 
     def combine_schedule(self, model, m):
-        cost = (model.tau + model.mu * m) * self._log_rounds()
-        return self._butterfly("combine", model, m, cost)
+        return self._butterfly("combine", model, m)
 
     def prefix_schedule(self, model, m):
-        cost = (model.tau + model.mu * m) * self._log_rounds()
-        return self._butterfly("prefix", model, m, cost)
+        return self._butterfly("prefix", model, m)
 
     def gather_schedule(self, model, root, m):
         real = self._rot(root)
@@ -512,16 +537,16 @@ class CrossbarTopology(Topology):
             [Transfer(real(s), real(d), m * w) for s, d, w in rnd]
             for rnd in _fold_rounds(self.p)
         ]
-        cost = model.tau * self._log_rounds() + model.mu * m * (self.p - 1)
-        return self._schedule("gather", rounds, model, cost=cost)
+        return self._schedule("gather", rounds, model,
+                              cost=self.gather_cost(model, root, m))
 
     def allgather_schedule(self, model, m):
         rounds = [
             [Transfer(s, d, m * w) for s, d, w in rnd]
             for rnd in _doubling_rounds(self.p)
         ]
-        cost = model.tau * self._log_rounds() + model.mu * m * (self.p - 1)
-        return self._schedule("allgather", rounds, model, cost=cost)
+        return self._schedule("allgather", rounds, model,
+                              cost=self.allgather_cost(model, m))
 
     def alltoallv_schedule(self, model, words):
         p = self.p
@@ -543,8 +568,7 @@ class CrossbarTopology(Topology):
         )
 
     def barrier_schedule(self, model):
-        cost = (model.tau + model.mu) * self._log_rounds()
-        return self._butterfly("barrier", model, 1.0, cost)
+        return self._butterfly("barrier", model, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,12 @@ machine is a *cost-model* question — which of the algorithms wins depends
 on ``n``, ``p`` and the machine's communication constants. This package
 turns that argument into a system component:
 
-* :mod:`~repro.planner.cost` prices any (algorithm, n, p, topology)
-  combination analytically by injecting lowered-:class:`Schedule` prices
-  into the closed-form skeleton of :func:`repro.bench.model.predict`;
 * :mod:`~repro.planner.planner` enumerates the candidate space
   (algorithm × prefilter, with the machine's topology and the base plan's
-  kernel knobs carried through), applies per-(algorithm, topology,
-  p-bucket) residual corrections, and returns the predicted winner as a
-  concrete :class:`~repro.core.plan.SelectionPlan`;
+  kernel knobs carried through), prices each candidate with the closed
+  forms of :mod:`repro.selection.cost` on the actual topology, applies
+  per-(algorithm, topology, p-bucket) residual corrections, and returns
+  the predicted winner as a concrete :class:`~repro.core.plan.SelectionPlan`;
 * :mod:`~repro.planner.residuals` is the self-calibration loop: every
   executed launch's ``cost_residual`` feeds a correction store that
   scales future predictions;
@@ -23,12 +21,17 @@ turns that argument into a system component:
 Entry points: ``SelectionPlan(algorithm="auto")`` resolves through
 :func:`resolve_auto` on every launch, and ``SelectionService`` defaults
 to auto when no plan is given.
+
+The predictor itself lives in :mod:`repro.selection.cost` (``predict``,
+``predict_prefilter``, ``Prediction``): the former
+``repro.planner.predict_on_topology`` is ``predict(..., topology=...)``
+there, and this package re-exports only ``CLOSED_FORM_ALGORITHMS``.
 """
 
 from __future__ import annotations
 
+from ..selection.cost import CLOSED_FORM_ALGORITHMS
 from .calibrate import calibrate_cost_model
-from .cost import CLOSED_FORM_ALGORITHMS, predict_on_topology
 from .planner import (
     Candidate,
     PlanDecision,
@@ -49,7 +52,6 @@ __all__ = [
     "default_store",
     "enumerate_candidates",
     "plan_query",
-    "predict_on_topology",
     "reset_default_store",
     "resolve_auto",
     "use_store",

@@ -8,7 +8,7 @@ topology, and optional distribution evidence (ingest-time sketches on a
    and (when sketches are already paid for) sketch-prefiltered, with the
    base plan's seed / kernel / backend knobs carried through unchanged;
 2. prices each candidate analytically on the *actual* machine shape via
-   :func:`~repro.planner.cost.predict_on_topology`;
+   :func:`~repro.selection.cost.predict`;
 3. scales every price by the residual store's learned correction for its
    (algorithm, topology, p-bucket) key;
 4. returns the corrected-cost argmin as a concrete
@@ -28,14 +28,14 @@ them (picking them explicitly still works and simply skips prediction).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from ..core.plan import SelectionPlan, as_plan
 from ..errors import ConfigurationError
 from ..machine.cost_model import CostModel
 from ..machine.topology import Topology, resolve_topology
 from ..obs import get_recorder
-from .cost import CLOSED_FORM_ALGORITHMS, predict_on_topology, predict_prefilter
+from ..selection.cost import CLOSED_FORM_ALGORITHMS, predict, predict_prefilter
 from .residuals import ResidualStore, default_store
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -149,8 +149,7 @@ def enumerate_candidates(
                 pred = predict_prefilter(algorithm, n, p, model, topology,
                                          eps=plan.sketch_eps, table=table)
             else:
-                pred = predict_on_topology(algorithm, n, p, model, topology,
-                                           table=table)
+                pred = predict(algorithm, n, p, model, topology, table=table)
             out.append(Candidate(
                 plan=plan,
                 predicted=pred.total,

@@ -44,6 +44,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from ..core.plan import validate_targets
 from ..core.reports import MultiSelectionReport, PrefilterStats, SelectionReport
 from ..kernels.costed import CostedKernels
 from .sketch import QuantileSketch, merge_all
@@ -248,7 +249,7 @@ def execute_sketch_multi_select(
     """
     from ..core import session as core_session
 
-    ks = core_session.validate_ks(ks, data.n)
+    ks = validate_targets(ks, data.n)
     cfg, balancer_name, runner = core_session.resolve_multi(plan)
     if not ks:
         return core_session.empty_multi_report(data, plan, balancer_name)

@@ -3,9 +3,17 @@ the simulator within a small factor across the grid."""
 
 import pytest
 
+import repro
 from repro.bench.harness import KILO, run_point
-from repro.bench.model import Prediction, predict
 from repro.errors import ConfigurationError
+from repro.machine.cost_model import CM5
+from repro.machine.topology import available_topologies
+from repro.selection.cost import (
+    CLOSED_FORM_ALGORITHMS,
+    Prediction,
+    predict,
+    predict_prefilter,
+)
 
 GRID = [
     (64 * KILO, 4),
@@ -72,3 +80,27 @@ class TestModelShape:
             predict("sort_based", 1024, 2)
         with pytest.raises(ConfigurationError):
             predict("randomized", 1024, 2, table=3)
+
+
+class TestSingleRank:
+    """At p = 1 there is no one to talk to: the simulator charges no
+    communication, and the closed forms must not either, on any shape."""
+
+    @pytest.mark.parametrize("topology", available_topologies())
+    def test_predictions_charge_no_communication(self, topology):
+        for algorithm in CLOSED_FORM_ALGORITHMS:
+            for table in (1, 2):
+                for n in (1, 1000, 1 << 20):
+                    plain = predict(algorithm, n, 1, CM5, topology, table)
+                    filtered = predict_prefilter(algorithm, n, 1, CM5,
+                                                 topology, table=table)
+                    assert plain.comm == 0.0
+                    assert filtered.comm == 0.0
+
+    @pytest.mark.parametrize("algorithm", CLOSED_FORM_ALGORITHMS)
+    def test_simulator_agrees(self, algorithm):
+        report = repro.Machine(1).generate(1000, seed=0).select(
+            500, algorithm=algorithm
+        )
+        assert report.breakdown.comm == 0.0
+        assert predict(algorithm, 1000, 1).comm == report.breakdown.comm

@@ -15,6 +15,8 @@ The planner's contract has four legs, each pinned here:
   or streaming arrays.
 """
 
+import statistics
+
 import numpy as np
 import pytest
 
@@ -36,7 +38,7 @@ from repro.planner import (
     use_store,
 )
 from repro.planner.cli import main as planner_main
-from repro.planner.cost import predict_on_topology, predict_prefilter
+from repro.selection.cost import predict, predict_prefilter
 
 N = 20_000
 P = 8
@@ -162,14 +164,18 @@ class TestCandidateSpace:
 
 class TestTopologyPricing:
     def test_crossbar_matches_legacy_closed_forms(self):
-        from repro.bench.model import predict
-
+        # The crossbar totals of the paper's closed forms, pinned bit for
+        # bit at N=20,000, P=8 under CM5.
+        pinned = {
+            "median_of_medians": 0.11357400000000001,
+            "bucket_based": 0.12612440000000003,
+            "randomized": 0.0124886,
+            "fast_randomized": 0.014952865798397068,
+        }
         for algorithm in CLOSED_FORM_ALGORITHMS:
-            legacy = predict(algorithm, N, P, CM5).total
-            via_topo = predict_on_topology(
-                algorithm, N, P, CM5, "crossbar"
-            ).total
-            assert via_topo == legacy
+            assert predict(algorithm, N, P, CM5, "crossbar").total == (
+                pinned[algorithm]
+            )
 
     @pytest.mark.parametrize(
         "topology", ["binomial-tree", "hypercube", "two-level:4"]
@@ -177,18 +183,18 @@ class TestTopologyPricing:
     def test_routed_topologies_price_positive(self, topology):
         model = cm5_two_level() if "two-level" in topology else cm5()
         for algorithm in CLOSED_FORM_ALGORITHMS:
-            pred = predict_on_topology(algorithm, N, P, model, topology)
+            pred = predict(algorithm, N, P, model, topology)
             assert pred.total > 0
             assert pred.comm > 0
 
     def test_no_closed_form_still_raises(self):
         with pytest.raises(ConfigurationError):
-            predict_on_topology("sort_based", N, P, CM5, "hypercube")
+            predict("sort_based", N, P, CM5, "hypercube")
 
     def test_prefilter_estimate_cheaper_on_large_n(self):
         # A 1M-key query: scanning once + contracting ~2*eps*n survivors
         # must price below contracting the full input.
-        plain = predict_on_topology("randomized", 1 << 20, P, CM5)
+        plain = predict("randomized", 1 << 20, P, CM5)
         filtered = predict_prefilter("randomized", 1 << 20, P, CM5)
         assert filtered.total < plain.total
 
@@ -203,8 +209,28 @@ class TestTopologyPricing:
     def test_predict_simulated_matches_plan_topology(self, fresh_store):
         plan = SelectionPlan(algorithm="randomized", topology="hypercube")
         via_session = predict_simulated(plan, N, P, CM5, plan.topology)
-        direct = predict_on_topology("randomized", N, P, CM5, "hypercube")
+        direct = predict("randomized", N, P, CM5, "hypercube")
         assert via_session == direct.total
+
+    def test_single_rank_auto_picks_the_faster_plan(self):
+        # At p = 1 no collective is charged, so the closed forms compare
+        # compute alone — and fast_randomized's smaller scan wins.
+        machine = repro.Machine(n_procs=1)
+        data = machine.generate(1000, seed=0)
+
+        def run(algorithm, seed):
+            with use_store(ResidualStore()):
+                return Session(machine, cache=False).run_select(
+                    data, 500, SelectionPlan(algorithm=algorithm, seed=seed)
+                )
+
+        def median_sim(algorithm):
+            return statistics.median(
+                run(algorithm, seed).simulated_time for seed in range(3)
+            )
+
+        assert run("auto", 0).algorithm == "fast_randomized"
+        assert median_sim("fast_randomized") < median_sim("randomized")
 
 
 # ---------------------------------------------------------------------------

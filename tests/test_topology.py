@@ -432,6 +432,29 @@ class TestCrossbarBitIdentity:
         assert hier.simulated_time > flat.simulated_time
 
 
+class TestPriceAccessors:
+    """The price-only accessors a cost predictor reads equal the lowered
+    schedule's cost bit for bit, on every shape, machine size and model."""
+
+    @pytest.mark.parametrize("name", sorted(TOPOLOGIES))
+    @pytest.mark.parametrize("model", [cm5(), cm5_two_level()],
+                             ids=["cm5", "cm5_two_level"])
+    def test_prices_equal_schedule_costs(self, name, model):
+        for p in range(1, 17):
+            topo = resolve_topology(name, p)
+            for m in (1.0, 2, p, 0.375, 200.0):
+                assert topo.combine_cost(model, m) == (
+                    topo.combine_schedule(model, m).cost
+                )
+                assert topo.allgather_cost(model, m) == (
+                    topo.allgather_schedule(model, m).cost
+                )
+                for root in sorted({0, p // 2, p - 1}):
+                    assert topo.gather_cost(model, root, m) == (
+                        topo.gather_schedule(model, root, m).cost
+                    )
+
+
 # ---------------------------------------------------------------------------
 # Round counts: schedules match the analytic depths
 # ---------------------------------------------------------------------------
