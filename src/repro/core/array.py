@@ -305,7 +305,7 @@ class DistributedArray:
                 a = np.ascontiguousarray(s)
                 h.update(str(a.dtype).encode())
                 h.update(str(a.size).encode())
-                h.update(a.tobytes())
+                h.update(a)
             self._fingerprint = h.hexdigest()
             self._probe = self._content_probe()
         return self._fingerprint

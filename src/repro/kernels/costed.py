@@ -61,8 +61,6 @@ class CostedKernels:
         self.ctx.charge_compute(
             _partition.partition_multiway_cost(self.model, arr.size, len(cuts))
         )
-        if self._fast:
-            return _fast.fast_partition_multiway(arr, cuts)
         return _partition.partition_multiway(arr, cuts)
 
     # ------------------------------------------------------------ selection

@@ -3,8 +3,8 @@
 The reference kernels in this package are written for auditability: their
 shapes mirror the paper's pseudocode and the cost formulas charged against
 them. :mod:`repro.kernels.fast` provides drop-in replacements tuned for
-wall clock (lazier gathers, multi-kth ``np.partition``, mask-based
-multiway splits), bound by one contract:
+wall clock (lazier gathers, multi-kth ``np.partition``, introselect
+interior selects), bound by one contract:
 
 * **Identical values.** Every fast kernel returns bit-identical results
   (and, where order can leak into downstream pivot draws, identically
@@ -15,8 +15,8 @@ multiway splits), bound by one contract:
 
 Selection: ``SelectionPlan(kernels="fast")`` per plan, or the
 ``REPRO_KERNELS`` environment variable as the process-wide default (how
-CI runs the whole value suite under each mode). ``numba`` is used for a
-few kernels when importable — a soft dependency, never required.
+CI runs the whole value suite under each mode). A kernel with no twin
+(the multiway partition, among others) runs the same code in both modes.
 """
 
 from __future__ import annotations

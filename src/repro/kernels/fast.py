@@ -15,12 +15,6 @@ Where the speed comes from:
   it keeps; the reference kernel eagerly materialises all three. Deferring
   the gathers skips at least the ``eq`` copy every iteration and both
   untaken sides when the target lands in the equality band.
-* :func:`fast_partition_multiway` — the reference groups segments with a
-  stable argsort (``O(n log n)`` with a big constant). For the dominant
-  single-cut case two boolean masks and three gathers do the same job
-  ~4x faster; small cut counts use one ``searchsorted`` classification
-  plus per-segment mask gathers. Both preserve the original element order
-  within every segment, exactly like a stable argsort.
 * :func:`fast_build_buckets` — the reference recursively halves with
   ``log2(B)`` full ``np.partition`` levels. One multi-kth
   ``np.partition`` at the recursion's final boundaries produces the same
@@ -33,9 +27,9 @@ Where the speed comes from:
   smallest is a unique value, so every implementation agrees, and no rng
   handed to a select kernel ever feeds a later positional draw.
 
-``numba`` accelerates nothing critical here (NumPy already executes these
-as C loops), so it is probed but optional — a soft dependency that must
-never be required.
+The multiway partition has no twin: the reference
+:func:`~repro.kernels.partition.partition_multiway` is already linear in
+the shard, so both modes run it.
 """
 
 from __future__ import annotations
@@ -44,27 +38,13 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..machine.topology import next_power_of_two
-from . import partition as _partition
 from .buckets import LocalBuckets
 
-try:  # soft dependency: used opportunistically, never required
-    import numba  # noqa: F401
-
-    HAVE_NUMBA = True
-except Exception:  # pragma: no cover - depends on host environment
-    HAVE_NUMBA = False
-
 __all__ = [
-    "HAVE_NUMBA",
     "LazyPartition3",
     "fast_build_buckets",
     "fast_partition3",
-    "fast_partition_multiway",
 ]
-
-#: Above this many cuts the mask-gather multiway loop loses to the
-#: reference argsort grouping; fall back.
-_MULTIWAY_FAST_MAX_CUTS = 8
 
 
 class LazyPartition3:
@@ -107,36 +87,6 @@ class LazyPartition3:
 def fast_partition3(arr: np.ndarray, pivot) -> LazyPartition3:
     """3-way split with deferred gathers (mask order == reference order)."""
     return LazyPartition3(arr, pivot)
-
-
-def fast_partition_multiway(arr: np.ndarray, cuts) -> list[np.ndarray]:
-    """Mask-based multiway split; falls back to the reference past
-    :data:`_MULTIWAY_FAST_MAX_CUTS` cut values.
-
-    Boolean-mask gathers preserve original element order within each
-    segment, exactly like the reference's stable argsort grouping, so the
-    two produce identical arrays — order included.
-    """
-    cuts = np.asarray(cuts)
-    if cuts.ndim != 1 or cuts.size == 0:
-        raise ConfigurationError(
-            "partition_multiway needs a 1-D, non-empty cut list"
-        )
-    if cuts.size == 1:
-        pivot = cuts[0]
-        lt_mask = arr < pivot
-        gt_mask = arr > pivot
-        return [arr[lt_mask], arr[~(lt_mask | gt_mask)], arr[gt_mask]]
-    if cuts.size > _MULTIWAY_FAST_MAX_CUTS:
-        return _partition.partition_multiway(arr, cuts)
-    if np.any(np.diff(cuts) <= 0):
-        raise ConfigurationError(
-            "cut values must be strictly ascending (dedupe first)"
-        )
-    seg = np.searchsorted(cuts, arr, side="left") + np.searchsorted(
-        cuts, arr, side="right"
-    )
-    return [arr[seg == j] for j in range(2 * cuts.size + 1)]
 
 
 def _halved_sizes(n: int, b: int) -> list[int]:

@@ -105,6 +105,12 @@ def partition_cost(model: CostModel, n: int) -> float:
     return model.compute.partition * max(0, n)
 
 
+#: Up to this many cuts, segment labels come from ``2c`` branch-free
+#: vectorised compares (``O(nc)``); above it, from a ``searchsorted`` pair
+#: (``O(n log c)``).
+_COMPARE_MAX_CUTS = 16
+
+
 def partition_multiway(arr: np.ndarray, cuts) -> list[np.ndarray]:
     """Split ``arr`` at ``c`` sorted cut values into ``2c + 1`` segments.
 
@@ -113,11 +119,17 @@ def partition_multiway(arr: np.ndarray, cuts) -> list[np.ndarray]:
         (< cuts[0]), (== cuts[0]), (cuts[0], cuts[1]), (== cuts[1]), ...,
         (> cuts[-1])
 
-    With ``c == 1`` this is exactly :func:`partition3`. The multi-rank
-    contraction engine uses it to fork the live set at *several* pivots in a
-    single pass (one iteration of single-pass multi-rank selection instead
-    of one pass per pivot). One vectorised ``searchsorted`` pair classifies
-    every element; a stable argsort groups the segments.
+    With ``c == 1`` this is exactly :func:`partition3`, except that a NaN
+    key lands last (``> cuts[-1]``) for any ``c``. The multi-rank
+    contraction engine uses it to fork the live set at *several* pivots in
+    a single pass (one iteration of single-pass multi-rank selection
+    instead of one pass per pivot).
+
+    Host cost is linear in ``arr``: each key gets its segment index in the
+    smallest unsigned dtype that holds ``2c``, and a stable argsort of those
+    small labels (a radix sort) groups the segments, keeping the original
+    element order within each. One cut needs no labels: three mask gathers
+    do the same job, in the same order.
     """
     cuts = np.asarray(cuts)
     if cuts.ndim != 1 or cuts.size == 0:
@@ -128,18 +140,40 @@ def partition_multiway(arr: np.ndarray, cuts) -> list[np.ndarray]:
         raise ConfigurationError(
             "cut values must be strictly ascending (dedupe first)"
         )
-    # Element strictly between cuts j-1 and j lands in segment 2j; an
-    # element equal to cuts[j] lands in segment 2j + 1.
-    seg = np.searchsorted(cuts, arr, side="left") + np.searchsorted(
-        cuts, arr, side="right"
-    )
+    n_segs = 2 * cuts.size + 1
+    # A NaN cut sorts last for searchsorted but compares false, so only
+    # the searchsorted labels reproduce its segments.
+    nan_cut = cuts.dtype.kind in "fc" and bool(np.isnan(cuts).any())
+    if cuts.size == 1 and not nan_cut:
+        # np.compress (nonzero + take) beats boolean indexing on
+        # unpredictable masks.
+        lt = arr < cuts[0]
+        le = arr <= cuts[0]
+        return [np.compress(lt, arr), np.compress(le & ~lt, arr), np.compress(~le, arr)]
+    seg = _segment_labels(arr, cuts, nan_cut)
     order = np.argsort(seg, kind="stable")
-    sizes = np.bincount(seg, minlength=2 * cuts.size + 1)
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(seg, minlength=n_segs))])
     grouped = arr[order]
-    bounds = np.concatenate([[0], np.cumsum(sizes)])
-    return [
-        grouped[bounds[j]: bounds[j + 1]] for j in range(2 * cuts.size + 1)
-    ]
+    return [grouped[bounds[j]: bounds[j + 1]] for j in range(n_segs)]
+
+
+def _segment_labels(arr: np.ndarray, cuts: np.ndarray, nan_cut: bool) -> np.ndarray:
+    """``#(cuts < x) + #(cuts <= x)`` for every key ``x``: an element
+    strictly between cuts j-1 and j gets 2j, one equal to ``cuts[j]`` gets
+    2j + 1, and a NaN key gets ``2c`` (last), as ``searchsorted`` places it."""
+    dtype = np.min_scalar_type(2 * cuts.size)
+    if cuts.size > _COMPARE_MAX_CUTS or nan_cut:
+        return (
+            np.searchsorted(cuts, arr, side="left")
+            + np.searchsorted(cuts, arr, side="right")
+        ).astype(dtype)
+    # Count down from 2c: a NaN key fails every compare and stays last.
+    seg = np.full(arr.shape, 2 * cuts.size, dtype=dtype)
+    hit = np.empty(arr.shape, dtype=bool)
+    for cut in cuts:
+        seg -= np.less_equal(arr, cut, out=hit).view(np.uint8)
+        seg -= np.less(arr, cut, out=hit).view(np.uint8)
+    return seg
 
 
 def partition_multiway_cost(model: CostModel, n: int, n_cuts: int) -> float:

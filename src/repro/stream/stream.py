@@ -61,7 +61,7 @@ def _advance_chain(prev: list | None, parts: list[np.ndarray]) -> list:
     else:
         chain = [h.copy() for h in prev]
     for hasher, part in zip(chain, parts):
-        hasher.update(np.ascontiguousarray(part).tobytes())
+        hasher.update(np.ascontiguousarray(part))
     return chain
 
 
@@ -94,7 +94,7 @@ class _Batch:
         fingerprint unit of windowed streams)."""
         if self._digests is None:
             self._digests = [
-                hashlib.sha1(np.ascontiguousarray(p).tobytes()).digest()
+                hashlib.sha1(np.ascontiguousarray(p)).digest()
                 for p in self.parts
             ]
         return self._digests

@@ -11,17 +11,14 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from test_partition import argsort_partition_multiway
 
 import repro
 from repro.errors import ConfigurationError
 from repro.kernels import KERNELS_ENV_VAR
 from repro.kernels.buckets import LocalBuckets
 from repro.kernels.dispatch import default_kernels_mode, resolve_kernels
-from repro.kernels.fast import (
-    fast_build_buckets,
-    fast_partition3,
-    fast_partition_multiway,
-)
+from repro.kernels.fast import fast_build_buckets, fast_partition3
 from repro.kernels.partition import partition3, partition_multiway
 from repro.selection import ALGORITHMS
 
@@ -163,8 +160,8 @@ class TestKernelProperties:
             )
         )
         _assert_identical_arrays(
+            argsort_partition_multiway(arr, cuts),
             partition_multiway(arr, cuts),
-            fast_partition_multiway(arr, cuts),
         )
 
     @given(arr=adversarial_arrays, n_buckets=st.integers(1, 16))
@@ -190,6 +187,6 @@ class TestKernelProperties:
         arr = np.arange(6.0)
         for bad_cuts in ([], [[1.0, 2.0]], [2.0, 1.0], [1.0, 1.0]):
             with pytest.raises(ConfigurationError):
-                partition_multiway(arr, bad_cuts)
+                argsort_partition_multiway(arr, bad_cuts)
             with pytest.raises(ConfigurationError):
-                fast_partition_multiway(arr, bad_cuts)
+                partition_multiway(arr, bad_cuts)

@@ -2,16 +2,18 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.errors import ConfigurationError
 from repro.kernels.partition import (
     count3,
     partition2,
     partition3,
     partition_band,
     partition_cost,
+    partition_multiway,
 )
 from repro.machine.cost_model import CM5
 
@@ -105,3 +107,74 @@ def test_property_band_is_exhaustive(arr, a, b):
     assert less.size + mid.size + high.size == arr.size
     assert np.all(less < lo) and np.all(high > hi)
     assert np.all((mid >= lo) & (mid <= hi))
+
+
+def argsort_partition_multiway(arr: np.ndarray, cuts) -> list[np.ndarray]:
+    """Oracle: the original ``O(n log n)`` multiway split — a
+    ``searchsorted`` pair labels every key, a stable argsort of the int64
+    labels groups the segments."""
+    cuts = np.asarray(cuts)
+    if cuts.ndim != 1 or cuts.size == 0:
+        raise ConfigurationError(
+            "partition_multiway needs a 1-D, non-empty cut list"
+        )
+    if cuts.size > 1 and np.any(np.diff(cuts) <= 0):
+        raise ConfigurationError(
+            "cut values must be strictly ascending (dedupe first)"
+        )
+    # Element strictly between cuts j-1 and j lands in segment 2j; an
+    # element equal to cuts[j] lands in segment 2j + 1.
+    seg = np.searchsorted(cuts, arr, side="left") + np.searchsorted(
+        cuts, arr, side="right"
+    )
+    order = np.argsort(seg, kind="stable")
+    sizes = np.bincount(seg, minlength=2 * cuts.size + 1)
+    grouped = arr[order]
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    return [
+        grouped[bounds[j]: bounds[j + 1]] for j in range(2 * cuts.size + 1)
+    ]
+
+
+_SPECIAL_FLOATS = [np.nan, np.inf, -np.inf, 0.0, -0.0]
+
+
+@st.composite
+def multiway_cases(draw):
+    """Keys and 1-40 ascending cuts: empty and duplicate-heavy arrays,
+    NaN/±inf keys, int64 and float32 keys, and (legal, since NaN passes
+    the ascending check) a trailing NaN cut."""
+    dtype = draw(st.sampled_from(["float64", "float32", "int64"]))
+    if dtype == "int64":
+        keys = st.integers(0, 3) | st.integers(-50, 50) | st.integers(-(2**62), 2**62)
+    else:
+        keys = (
+            st.sampled_from(_SPECIAL_FLOATS)
+            | st.integers(0, 3).map(float)
+            | st.integers(-50, 50).map(float)
+            | st.floats(width=32)
+        )
+    arr = np.array(draw(st.lists(keys, max_size=300)), dtype=dtype)
+    values = sorted({x for x in arr.tolist() if x == x} | set(range(-25, 26)))
+    nan_cut = dtype != "int64" and draw(st.booleans())
+    cuts = np.array(sorted(draw(st.lists(
+        st.sampled_from(values), min_size=0 if nan_cut else 1, max_size=40,
+        unique=True,
+    ))), dtype="int64" if dtype == "int64" else "float64")
+    if dtype == "float32" and draw(st.booleans()):
+        cuts = np.unique(cuts.astype(arr.dtype))
+    if nan_cut:
+        cuts = np.append(cuts, np.nan)
+    return arr, cuts
+
+
+@settings(max_examples=400)
+@given(multiway_cases())
+def test_property_multiway_matches_argsort_oracle(case):
+    arr, cuts = case
+    expected = argsort_partition_multiway(arr, cuts)
+    got = partition_multiway(arr, cuts)
+    assert len(got) == len(expected) == 2 * cuts.size + 1
+    for e, g in zip(expected, got):
+        assert g.dtype == e.dtype
+        np.testing.assert_array_equal(g, e)  # order included; NaN == NaN

@@ -151,6 +151,33 @@ class TestStreamingArray:
         assert sum(sk.count for sk in sketches) == s.n
 
 
+class TestFingerprintPins:
+    """Fingerprints are cache keys, so their bytes are pinned: each SHA-1
+    hashes exactly the shard buffers, however it reads them."""
+
+    def test_distributed_array(self):
+        m = Machine(3)
+        assert m.distribute(np.arange(20.0) * 1.5).fingerprint == (
+            "3a990bef40e1313503576178c8d7c198a18743d5"
+        )
+        strided = m.from_shards([
+            np.arange(12, dtype=np.int64)[::2],  # not contiguous
+            np.arange(5, dtype=np.int64),
+            np.array([], dtype=np.int64),
+        ])
+        assert strided.fingerprint == "1cd385f66a0e7aaa6533263c26f4f706be29b94b"
+
+    def test_windowed_stream(self):
+        s = batch_stream(
+            Machine(3), [np.arange(7.0) + 10 * j for j in range(3)], window=2
+        )
+        assert s.fingerprint == "f0e6f6d595ef56c856e7ae76a4743af9a9ab2d4e"
+
+    def test_append_only_stream(self):
+        s = batch_stream(Machine(3), [np.arange(7.0) + 10 * j for j in range(2)])
+        assert s.fingerprint == "2c03e08d85cf2b54533db90eb0db5cdeba0fdfb9"
+
+
 class TestConcurrentReaders:
     """A flush thread may read a stream while another thread appends: a
     view built from the window before an append must never be memoised
