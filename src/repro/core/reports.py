@@ -2,7 +2,8 @@
 
 A *report* is the caller-facing record of one answered query: the value(s),
 the target rank(s), and the launch evidence (simulated-time breakdown,
-per-iteration statistics, the raw :class:`~repro.machine.engine.SPMDResult`).
+per-iteration statistics and, on a fresh launch, the raw
+:class:`~repro.machine.engine.SPMDResult`).
 Three shapes exist:
 
 * :class:`SelectionReport` — one rank, one value (``select`` / ``median``
@@ -14,7 +15,11 @@ Three shapes exist:
 Reports served from a :class:`~repro.core.session.Session` result cache set
 ``cached=True``: the values and simulated metrics are those of the
 originating launch (selection is deterministic per plan), but no new SPMD
-launch was paid for them.
+launch was paid for them. A cached report equals the originating one on
+every field but ``cached`` and ``result`` (``None``: the cache keeps the
+answer and one rank's evidence, never the launch's per-rank
+``SPMDResult``). ``balance_time`` and :meth:`_RunReport.collective_rounds`
+read fields filled at report assembly, so they answer the same either way.
 """
 
 from __future__ import annotations
@@ -81,6 +86,8 @@ class _RunReport:
     simulated_time: float
     wall_time: float
     breakdown: TimeBreakdown
+    #: The launch's raw per-rank evidence (every rank's return value, clock
+    #: and breakdown, and the trace); None on reports served from the cache.
     result: SPMDResult | None = field(repr=False, default=None)
     #: True when this report was served from a Session's result cache (the
     #: metrics describe the originating launch; no new launch happened).
@@ -101,6 +108,11 @@ class _RunReport:
     #: launches). The predicted-vs-actual residual (:attr:`cost_residual`)
     #: feeds the planner's residual store.
     predicted_time: float | None = None
+    #: Simulated seconds spent load balancing (max across ranks).
+    balance_time: float = 0.0
+    #: The launch's per-collective round summary (see
+    #: :meth:`collective_rounds`); empty when the launch was untraced.
+    rounds: dict = field(default_factory=dict, repr=False)
 
     @property
     def cost_residual(self) -> float | None:
@@ -109,11 +121,6 @@ class _RunReport:
         if self.predicted_time is None:
             return None
         return self.simulated_time - self.predicted_time
-
-    @property
-    def balance_time(self) -> float:
-        """Simulated seconds spent load balancing (max across ranks)."""
-        return self.result.balance_time if self.result else self.breakdown.balance
 
     @property
     def prefilter(self) -> PrefilterStats | None:
@@ -128,7 +135,7 @@ class _RunReport:
         per-round message pile-up on one rank. Requires the machine to
         run with ``trace=True``; empty otherwise (and for cached reports
         whose originating launch was untraced)."""
-        return self.result.collective_rounds() if self.result else {}
+        return {op: dict(row) for op, row in self.rounds.items()}
 
 
 @dataclass

@@ -16,8 +16,13 @@ batches:
 * **Result cache.** Answers are cached per ``(array fingerprint, plan,
   rank)``; re-queried ranks are served with ZERO new launches (selection is
   deterministic per plan, so cached values *and* simulated metrics are
-  exactly what a relaunch would produce). Reports served from cache set
-  ``cached=True``.
+  exactly what a relaunch would produce). An entry keeps the answer and a
+  slim launch record (:class:`_LaunchMetrics`: the launch-wide metrics, the
+  critical rank's breakdown and rank 0's stats), never the launch's
+  per-rank ``SPMDResult`` — so a fresh-key workload grows the cache by one
+  rank's evidence per query, not ``p``. Reports served from cache set
+  ``cached=True`` and ``result=None``; every other field equals the
+  originating report's.
 * **Immediate paths.** :meth:`run_select` / :meth:`run_multi_select` /
   :meth:`run_quantiles` answer now (still cache-aware). ``run_select``
   drives the historical single-rank engine, which is how the legacy
@@ -266,6 +271,8 @@ def finish_select(
         backend=result.backend,
         topology=result.topology,
         predicted_time=predicted,
+        balance_time=result.balance_time,
+        rounds=result.collective_rounds(),
     )
 
 
@@ -309,6 +316,8 @@ def finish_multi(
         backend=result.backend,
         topology=result.topology,
         predicted_time=predicted,
+        balance_time=result.balance_time,
+        rounds=result.collective_rounds(),
     )
 
 
@@ -387,24 +396,21 @@ def execute_multi_select(
         return finish_multi(data, ks, unique_ks, plan, balancer_name, result)
 
 
-def per_rank_view(metrics, k: int, value, cached: bool = False) -> SelectionReport:
+def per_rank_view(metrics, k: int, value, cached: bool = False,
+                  result=None) -> SelectionReport:
     """A per-rank :class:`SelectionReport` view of shared batched evidence.
 
     ``metrics`` is anything launch-shaped (a :class:`MultiSelectionReport`
-    or a cache entry's metrics): the view carries the correct target rank, a
-    SelectionStats-shaped stats block, and iteration records aliased from
-    the one launch that produced every answer.
+    or a cache entry's :class:`_LaunchMetrics`): the view carries the
+    correct target rank, a SelectionStats-shaped stats block, and iteration
+    records aliased from the one launch that produced every answer.
+    ``result`` is that launch's ``SPMDResult`` on a fresh answer, ``None``
+    on a cached one.
     """
-    return SelectionReport(
+    return _report(
+        SelectionReport, metrics, result, cached,
         value=value,
         k=k,
-        n=metrics.n,
-        p=metrics.p,
-        algorithm=metrics.algorithm,
-        balancer=metrics.balancer,
-        simulated_time=metrics.simulated_time,
-        wall_time=metrics.wall_time,
-        breakdown=metrics.breakdown,
         stats=SelectionStats(
             algorithm=metrics.stats.algorithm,
             n=metrics.stats.n,
@@ -417,11 +423,6 @@ def per_rank_view(metrics, k: int, value, cached: bool = False) -> SelectionRepo
             unsuccessful_iterations=metrics.stats.unsuccessful_iterations,
             prefilter=metrics.stats.prefilter,
         ),
-        result=metrics.result,
-        cached=cached,
-        backend=metrics.backend,
-        topology=metrics.topology,
-        predicted_time=getattr(metrics, "predicted_time", None),
     )
 
 
@@ -438,10 +439,16 @@ def quantile_rank(q: float, n: int) -> int:
 # --------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class _LaunchMetrics:
-    """The shared evidence of one batched launch, referenced by every cache
-    entry and future it answered."""
+    """The slim record of one launch: exactly what a cached report exposes.
+
+    The launch-wide metrics, the critical rank's breakdown, rank 0's stats,
+    the max-across-ranks balance time and the collective-rounds summary —
+    never the ``SPMDResult``, whose every-rank values, clocks, breakdowns
+    and trace events would cost ``p`` ranks' evidence per cache entry. One
+    record is shared by every cache entry its launch answered.
+    """
 
     n: int
     p: int
@@ -450,27 +457,35 @@ class _LaunchMetrics:
     simulated_time: float
     wall_time: float
     breakdown: TimeBreakdown
-    stats: MultiSelectionStats
-    result: object
-    backend: str = ""
-    topology: str = ""
-    predicted_time: float | None = None
+    stats: SelectionStats | MultiSelectionStats
+    backend: str
+    topology: str
+    predicted_time: float | None
+    balance_time: float
+    rounds: dict
 
     @classmethod
-    def from_multi(cls, multi: MultiSelectionReport) -> "_LaunchMetrics":
-        return cls(
-            n=multi.n, p=multi.p, algorithm=multi.algorithm,
-            balancer=multi.balancer, simulated_time=multi.simulated_time,
-            wall_time=multi.wall_time, breakdown=multi.breakdown,
-            stats=multi.stats, result=multi.result, backend=multi.backend,
-            topology=multi.topology, predicted_time=multi.predicted_time,
-        )
+    def of(cls, report) -> "_LaunchMetrics":
+        """The record of the launch that produced ``report``."""
+        return cls(**{name: getattr(report, name) for name in _LAUNCH_FIELDS})
 
 
-@dataclass
+_LAUNCH_FIELDS = tuple(f.name for f in dataclasses.fields(_LaunchMetrics))
+
+
+def _report(cls, metrics, result, cached: bool, **answer):
+    """A ``cls`` report carrying launch-shaped ``metrics`` (a report or a
+    :class:`_LaunchMetrics`); ``answer`` supplies the value(s), rank(s) and
+    any replacement stats."""
+    fields = {name: getattr(metrics, name) for name in _LAUNCH_FIELDS}
+    fields.update(answer)
+    return cls(result=result, cached=cached, **fields)
+
+
+@dataclass(slots=True)
 class _CacheEntry:
-    """One answered rank: its value + the metrics of the launch that
-    answered it."""
+    """One answered rank: its value + the record of the launch that
+    answered it. The only value type either cache namespace stores."""
 
     value: object
     metrics: _LaunchMetrics
@@ -773,10 +788,12 @@ class Session:
         self.stats.cache_hits += len(hit_ks)
         self.stats.cache_misses += len(missing)
         launched: _LaunchMetrics | None = None
+        launched_result = None
         if missing:
             multi = execute_multi_select(data, missing, plan)
             self.stats.launches += 1
-            launched = _LaunchMetrics.from_multi(multi)
+            launched = _LaunchMetrics.of(multi)
+            launched_result = multi.result
             for k, value in zip(missing, multi.values):
                 entry = _CacheEntry(value=value, metrics=launched)
                 entries[k] = entry
@@ -786,18 +803,20 @@ class Session:
                 self.stats.coalesced_queries += 1
             if isinstance(fut, SelectionFuture):
                 entry = entries[fut.k]
+                cached = fut.k in hit_ks
                 fut._report = per_rank_view(
-                    entry.metrics, fut.k, entry.value,
-                    cached=fut.k in hit_ks,
+                    entry.metrics, fut.k, entry.value, cached=cached,
+                    result=None if cached else launched_result,
                 )
             else:
                 fut._report = self._multi_report(
-                    fut, entries, hit_ks, launched
+                    fut, entries, hit_ks, launched, launched_result
                 )
 
     def _multi_report(self, fut: MultiSelectionFuture,
                       entries: dict[int, _CacheEntry], hit_ks: set[int],
-                      launched: _LaunchMetrics | None) -> MultiSelectionReport:
+                      launched: _LaunchMetrics | None,
+                      launched_result) -> MultiSelectionReport:
         data, plan = fut.data, fut.plan
         if not fut.ks:
             # Historical empty-set behaviour: an empty report, no launch.
@@ -807,22 +826,11 @@ class Session:
         # metrics (what a relaunch would produce), not those of whatever
         # launch this flush happened to pay for other futures' ranks.
         metrics = entries[fut.ks[0]].metrics if all_cached else launched
-        return MultiSelectionReport(
+        return _report(
+            MultiSelectionReport, metrics,
+            None if all_cached else launched_result, all_cached,
             values=[entries[k].value for k in fut.ks],
             ks=list(fut.ks),
-            n=metrics.n,
-            p=metrics.p,
-            algorithm=metrics.algorithm,
-            balancer=metrics.balancer,
-            simulated_time=metrics.simulated_time,
-            wall_time=metrics.wall_time,
-            breakdown=metrics.breakdown,
-            stats=metrics.stats,
-            result=metrics.result,
-            cached=all_cached,
-            backend=metrics.backend,
-            topology=metrics.topology,
-            predicted_time=getattr(metrics, "predicted_time", None),
         )
 
     # ---------------------------------------------------- immediate queries
@@ -833,8 +841,10 @@ class Session:
         """Answer rank ``k`` NOW through the single-rank engine.
 
         Cache-aware (namespace ``"select"``): a repeat of an answered
-        ``(array, plan, k)`` costs zero launches and returns the original
-        launch's value and simulated metrics with ``cached=True``. This is
+        ``(array, plan, k)`` costs zero launches and returns a report equal
+        to the original on every field but ``cached`` (True) and ``result``
+        (None: the cache keeps the value and a slim
+        :class:`_LaunchMetrics`, not the launch's ``SPMDResult``). This is
         the path the legacy :func:`repro.select` shim and the fluent
         ``data.select(k)`` ride, so their collective sequences, RNG streams
         and simulated times are bit-identical to the pre-Session API.
@@ -849,12 +859,14 @@ class Session:
             hit = self._cache_get(key)
             if hit is not None:
                 self.stats.cache_hits += 1
-                return dataclasses.replace(hit, cached=True)
+                return _report(SelectionReport, hit.metrics, None, True,
+                               value=hit.value, k=k)
             self.stats.cache_misses += 1
         report = execute_select(data, k, plan)
         self.stats.launches += 1
         if key is not None:
-            self._cache_put(key, report)
+            self._cache_put(key, _CacheEntry(report.value,
+                                             _LaunchMetrics.of(report)))
         return report
 
     def run_median(self, data: "DistributedArray",
@@ -902,7 +914,8 @@ class Session:
             return []
         multi = self.run_multi_select(data, ks, plan)
         return [
-            per_rank_view(multi, k, value, cached=multi.cached)
+            per_rank_view(multi, k, value, cached=multi.cached,
+                          result=multi.result)
             for k, value in zip(ks, multi.values)
         ]
 

@@ -392,45 +392,51 @@ class SelectionService:
             await self._work.wait()
             if self.window > 0 and not self._closed:
                 await asyncio.sleep(self.window)
-            records = self._drain_round_robin()
-            if self._queued_total == 0 and not self._closed:
-                self._work.clear()
-            if not records:
-                continue
-            self._flush_cycles += 1
-            launches_before = self._session.stats.launches
-            try:
-                # One blocking, batched flush off the event loop. Session
-                # flush already isolates failures per (array, plan) group
-                # — it records each group's error on its own futures and
-                # re-raises the first one, which we swallow here because
-                # per-record routing below is the real delivery path.
-                await asyncio.to_thread(self._flush_cycle, len(records))
-            except Exception:
-                pass
-            launch_delta = self._session.stats.launches - launches_before
-            now = asyncio.get_running_loop().time()
-            ok = 0
-            for rec in records:
-                self._inflight[rec.tenant] -= 1
-                self._inflight_total -= 1
-                fut = rec.sess_fut
-                if fut._error is not None:
-                    self._errors += 1
-                    if not rec.async_fut.done():
-                        rec.async_fut.set_exception(fut._error)
-                elif fut._report is not None:
-                    ok += 1
-                    self._resolved += 1
-                    self._lat_buf.append(now - rec.t0)
-                    if not rec.async_fut.done():
-                        rec.async_fut.set_result(fut._report)
-                else:  # pragma: no cover - internal invariant
-                    err = RuntimeError("flush did not resolve this query")
-                    if not rec.async_fut.done():
-                        rec.async_fut.set_exception(err)
-            self._launches_saved += max(0, ok - launch_delta)
-            self._fold_latencies()
+            await self._cycle()
+
+    async def _cycle(self) -> None:
+        """Serve one drained batch. A call of its own, so the batch's
+        records (and the reports they carry) are released when it returns
+        instead of living in the flusher's frame until the next batch."""
+        records = self._drain_round_robin()
+        if self._queued_total == 0 and not self._closed:
+            self._work.clear()
+        if not records:
+            return
+        self._flush_cycles += 1
+        launches_before = self._session.stats.launches
+        try:
+            # One blocking, batched flush off the event loop. Session
+            # flush already isolates failures per (array, plan) group
+            # — it records each group's error on its own futures and
+            # re-raises the first one, which we swallow here because
+            # per-record routing below is the real delivery path.
+            await asyncio.to_thread(self._flush_cycle, len(records))
+        except Exception:
+            pass
+        launch_delta = self._session.stats.launches - launches_before
+        now = asyncio.get_running_loop().time()
+        ok = 0
+        for rec in records:
+            self._inflight[rec.tenant] -= 1
+            self._inflight_total -= 1
+            fut = rec.sess_fut
+            if fut._error is not None:
+                self._errors += 1
+                if not rec.async_fut.done():
+                    rec.async_fut.set_exception(fut._error)
+            elif fut._report is not None:
+                ok += 1
+                self._resolved += 1
+                self._lat_buf.append(now - rec.t0)
+                if not rec.async_fut.done():
+                    rec.async_fut.set_result(fut._report)
+            else:  # pragma: no cover - internal invariant
+                err = RuntimeError("flush did not resolve this query")
+                if not rec.async_fut.done():
+                    rec.async_fut.set_exception(err)
+        self._launches_saved += max(0, ok - launch_delta)
+        self._fold_latencies()
 
     def _flush_cycle(self, n_records: int) -> None:
         """One blocking flush, span-wrapped *inside* the worker thread so

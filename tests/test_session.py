@@ -1,6 +1,11 @@
 """Session serving layer: futures, query coalescing, result caching,
 launch accounting, and legacy-shim equivalence."""
 
+import asyncio
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -8,6 +13,7 @@ import repro
 from repro.core.reports import _RunReport
 from repro.errors import ConfigurationError
 from repro.machine.clock import TimeBreakdown
+from repro.serve import SelectionService
 
 N = 20_000
 P = 4
@@ -316,6 +322,121 @@ class TestResultCache:
         assert machine.launch_count == before + 2
         assert not a.cached and not b.cached
         assert a.value == b.value and a.simulated_time == b.simulated_time
+
+
+# The four ways a query reaches a Session cache. Each answers the same
+# query twice on one cache: ``between(first_reports)`` runs after the first
+# answer and may drop those reports; returns (kept, again, launches paid
+# by the second answer).
+QS = [0.25, 0.5, 0.9]
+
+
+def _sync_twice(machine, query, between):
+    first = query()
+    kept = between(first)
+    del first
+    before = machine.launch_count
+    again = query()
+    return kept, again, machine.launch_count - before
+
+
+def _median_twice(machine, data, plan, between):
+    return _sync_twice(machine, lambda: [data.median(plan)], between)
+
+
+def _run_quantiles_twice(machine, data, plan, between):
+    session = machine.default_session
+    return _sync_twice(
+        machine, lambda: session.run_quantiles(data, QS, plan), between
+    )
+
+
+def _flush_twice(machine, data, plan, between):
+    session = machine.session(plan)
+
+    def query():
+        futures = session.quantiles(data, QS)
+        session.flush()
+        return [f.result() for f in futures]
+
+    return _sync_twice(machine, query, between)
+
+
+def _service_twice(machine, data, plan, between):
+    async def main():
+        async with SelectionService(machine, plan, window=0.0) as svc:
+            svc.register("a", data)
+            first = [await svc.median("a")]
+            # The loop callback that woke this coroutine holds the answered
+            # asyncio future until the coroutine next yields.
+            await asyncio.sleep(0)
+            kept = between(first)
+            del first
+            before = machine.launch_count
+            again = [await svc.median("a")]
+            return kept, again, machine.launch_count - before
+
+    return asyncio.run(main())
+
+
+ENTRY_PATHS = {
+    "median": _median_twice,
+    "run_quantiles": _run_quantiles_twice,
+    "flush": _flush_twice,
+    "service": _service_twice,
+}
+
+
+class TestSlimCache:
+    """The cache keeps answers and a slim launch record, never the launch's
+    per-rank SPMDResult, and a hit equals the report it replays."""
+
+    @pytest.mark.parametrize("path", sorted(ENTRY_PATHS))
+    def test_cache_does_not_retain_the_launch(self, machine, data, path):
+        def drop(first):
+            assert first and not any(r.cached for r in first)
+            results = {id(r.result): r.result for r in first}
+            assert len(results) == 1, "one launch answered the query"
+            refs = [weakref.ref(res) for res in results.values()]
+            del results
+            first.clear()
+            gc.collect()
+            return [ref() for ref in refs]
+
+        plan = repro.SelectionPlan(seed=3)
+        alive, again, launches = ENTRY_PATHS[path](machine, data, plan, drop)
+        assert alive == [None], "the cache kept the launch's SPMDResult"
+        assert launches == 0
+        assert all(r.cached and r.result is None for r in again)
+
+    @pytest.mark.parametrize("plan", [
+        repro.SelectionPlan(algorithm="randomized", balancer="omlb",
+                            seed=1, trace=True),
+        repro.SelectionPlan(prefilter="sketch", seed=1),
+    ], ids=["traced-balanced", "sketch-prefilter"])
+    @pytest.mark.parametrize("path", sorted(ENTRY_PATHS))
+    def test_cached_report_equals_original(self, machine, path, plan):
+        data = machine.generate(N, distribution="skewed_shards", seed=5)
+        first, again, launches = ENTRY_PATHS[path](
+            machine, data, plan, list
+        )
+        assert launches == 0
+        assert len(again) == len(first)
+        for orig, hit in zip(first, again):
+            assert not orig.cached and orig.result is not None
+            assert hit.cached and hit.result is None
+            if plan.trace:
+                assert orig.collective_rounds() and orig.balance_time > 0
+            else:
+                assert orig.prefilter is not None
+            for f in dataclasses.fields(orig):
+                if f.name not in ("cached", "result"):
+                    assert getattr(hit, f.name) == getattr(orig, f.name), (
+                        f.name
+                    )
+            assert hit.prefilter == orig.prefilter
+            assert hit.cost_residual == orig.cost_residual
+            assert hit.collective_rounds() == orig.collective_rounds()
 
 
 class TestLegacyShims:

@@ -9,6 +9,8 @@ bracket (``O(eps * n)`` plus boundary duplicates), which is what makes the
 pre-filter's survivor fraction small.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -145,6 +147,63 @@ class TestMerge:
     def test_merge_type_check(self):
         with pytest.raises(ConfigurationError):
             QuantileSketch().merge(object())
+
+
+def _reference_compress(self):
+    """The compaction loop with per-element NumPy scalar reads, kept
+    verbatim as the oracle for the shipped list-based loop."""
+    m = self.keys.size
+    if m <= 2:
+        return
+    bound = max(1, int(2.0 * self.eps * self.count))
+    keep = [0]
+    last = 0
+    for i in range(1, m - 1):
+        if self.rmax[i + 1] - self.rmin[last] > bound:
+            keep.append(i)
+            last = i
+    keep.append(m - 1)
+    idx = np.asarray(keep, dtype=np.int64)
+    self.keys = self.keys[idx]
+    self.rmin = self.rmin[idx]
+    self.rmax = self.rmax[idx]
+
+
+def _batch(rng, kind, size):
+    if kind == "duplicates":
+        return rng.integers(0, 8, size=size).astype(np.float64)
+    keys = rng.random(size)
+    return np.sort(keys) if kind == "sorted" else keys
+
+
+class TestCompaction:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["random", "duplicates", "sorted"]),
+        sizes=st.lists(st.integers(1, 4096), min_size=3, max_size=17),
+        eps=st.sampled_from([0.003, 0.01, 0.05]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_compress_matches_reference_loop(self, seed, kind, sizes, eps):
+        """2-16 left-fold merges keep exactly the keys and bounds the
+        scalar-read loop keeps."""
+        rng = np.random.default_rng(seed)
+        batches = [_batch(rng, kind, size) for size in sizes]
+
+        def fold():
+            sk = QuantileSketch.from_array(batches[0], eps)
+            for b in batches[1:]:
+                sk = sk.merge(QuantileSketch.from_array(b, eps))
+            return sk
+
+        shipped = fold()
+        with mock.patch.object(QuantileSketch, "_compress",
+                               _reference_compress):
+            reference = fold()
+        for name in ("keys", "rmin", "rmax"):
+            got, want = getattr(shipped, name), getattr(reference, name)
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
 
 
 class TestAccuracy:
