@@ -1,4 +1,4 @@
-"""Persistent pool backend + fast kernels: the perf PR's acceptance bar.
+"""Persistent pool backend + linear multiway partition: the perf PR's acceptance bar.
 
 Claims pinned here:
 

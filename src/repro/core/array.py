@@ -35,7 +35,19 @@ if TYPE_CHECKING:
     from .reports import MultiSelectionReport, SelectionReport
     from .session import Session
 
-__all__ = ["Machine", "DistributedArray"]
+__all__ = ["Machine", "DistributedArray", "check_ordered_keys"]
+
+
+def check_ordered_keys(keys: np.ndarray) -> None:
+    """Reject float keys containing NaN where keys enter the library.
+
+    Selection needs totally ordered keys. NaN compares false both ways, so
+    ranks would disagree on the answers or return a wrong one.
+    """
+    if keys.dtype.kind == "f" and keys.size and np.isnan(keys.min()):
+        raise ConfigurationError(
+            "keys contain NaN; selection needs totally ordered keys"
+        )
 
 
 class Machine:
@@ -107,34 +119,34 @@ class Machine:
 
     @property
     def fork_count(self) -> int:
-        """Worker spawn events on this machine's backend (see
+        """Worker spawn events this machine's launches caused (see
         :attr:`SPMDRuntime.fork_count`); the ``pool`` backend's
         forks-once-serve-many claim is asserted against deltas of this."""
         return self.runtime.fork_count
 
     @property
     def reuse_count(self) -> int:
-        """Launches served by an already-live worker generation (see
-        :attr:`SPMDRuntime.reuse_count`); the serving tier's warm-launch
-        receipt."""
+        """This machine's launches served by an already-live worker
+        generation (see :attr:`SPMDRuntime.reuse_count`); the serving
+        tier's warm-launch receipt."""
         return self.runtime.reuse_count
 
     def counters(self) -> dict:
         """One snapshot dict of this machine's activity counters.
 
-        The individual properties (:attr:`launch_count`, :attr:`fork_count`,
-        :attr:`reuse_count`) remain as thin views of the same runtime state;
-        this consolidates them — plus the pool backend's pinned
-        shared-memory bytes — for dashboards and
-        :class:`~repro.serve.service.ServiceStats`.
+        Every entry is a monotonic count over this machine's own launches,
+        whatever else shares its backend: ``launches``, ``forks``,
+        ``reuses`` and ``pinned_bytes`` (shard bytes its launches copied
+        into shared memory on the ``pool`` backend). The properties
+        :attr:`launch_count`, :attr:`fork_count` and :attr:`reuse_count`
+        are views of the same runtime state; this snapshot serves
+        dashboards and :class:`~repro.serve.service.ServiceStats`.
         """
         return {
             "launches": self.runtime.launch_count,
             "forks": self.runtime.fork_count,
             "reuses": self.runtime.reuse_count,
-            "pinned_bytes": int(
-                getattr(self.runtime.backend, "pinned_bytes", 0)
-            ),
+            "pinned_bytes": self.runtime.counts["pinned_bytes"],
         }
 
     def release_workers(self) -> None:
@@ -172,6 +184,7 @@ class Machine:
         data = np.asarray(data)
         if data.ndim != 1:
             raise ConfigurationError("distribute expects a 1-D array")
+        check_ordered_keys(data)
         sizes = shard_sizes(data.size, self.n_procs)
         offsets = np.concatenate([[0], np.cumsum(sizes)])
         shards = [
@@ -185,7 +198,10 @@ class Machine:
             raise ConfigurationError(
                 f"need exactly {self.n_procs} shards, got {len(shards)}"
             )
-        return DistributedArray(self, [np.asarray(s) for s in shards])
+        shards = [np.asarray(s) for s in shards]
+        for shard in shards:
+            check_ordered_keys(shard)
+        return DistributedArray(self, shards)
 
     def generate(
         self, n: int, distribution: str = "random", seed: int = 0

@@ -27,7 +27,6 @@ from typing import Sequence, get_args
 
 from ..balance.base import Balancer, get_balancer
 from ..errors import ConfigurationError
-from ..kernels.dispatch import KERNEL_MODES
 from ..kernels.select import SelectMethod
 from ..machine.backends import available_backends
 from ..machine.topology import validate_topology_spec
@@ -124,20 +123,16 @@ class SelectionPlan:
         Algorithm 4 tuning knobs; only consumed by ``fast_randomized``.
     impl_override:
         Sequential kernel that *executes* local selections while simulated
-        cost still follows ``sequential_method`` (the bench harness sets
-        ``"introselect"`` on huge grids).
+        cost still follows ``sequential_method``: ``"introselect"`` runs
+        every local selection on ``np.partition`` (the bench harness sets
+        it on huge grids). Values and simulated times are unchanged; only
+        wall-clock changes.
     backend:
         Execution backend for launches this plan drives (``"serial"``,
         ``"threaded"``, ``"process"`` or ``"pool"``); ``None`` defers to
         the machine's backend (itself defaulting to ``$REPRO_BACKEND`` or
         threaded). Values, RNG streams and simulated times are
         backend-independent; only wall-clock changes.
-    kernels:
-        Executing kernel mode for per-rank local work (``"reference"`` or
-        ``"fast"``); ``None`` defers to ``$REPRO_KERNELS`` (default
-        reference). Values, RNG streams and simulated times are
-        mode-independent — charges always follow the reference cost
-        formulas; only wall-clock changes.
     topology:
         Machine shape the launches' collectives are lowered onto
         (``"crossbar"``, ``"binomial-tree"``, ``"hypercube"``,
@@ -175,7 +170,6 @@ class SelectionPlan:
     fast_params: FastRandomizedParams | None = None
     impl_override: str | None = None
     backend: str | None = None
-    kernels: str | None = None
     topology: str | None = None
     prefilter: str | None = None
     sketch_eps: float = 0.01
@@ -208,11 +202,6 @@ class SelectionPlan:
             raise ConfigurationError(
                 f"unknown backend {self.backend!r}; "
                 f"available: {sorted(available_backends())}"
-            )
-        if self.kernels is not None and self.kernels not in KERNEL_MODES:
-            raise ConfigurationError(
-                f"unknown kernel mode {self.kernels!r}; "
-                f"available: {sorted(KERNEL_MODES)}"
             )
         if self.topology is not None:
             # Canonicalise (aliases resolved, cluster size kept) so equal
@@ -277,7 +266,6 @@ class SelectionPlan:
             endgame_threshold=self.endgame_threshold,
             max_iterations=self.max_iterations,
             impl_override=self.impl_override,
-            kernels=self.kernels,
         )
         return fn, cfg, type(balancer_obj).__name__
 
@@ -314,7 +302,6 @@ class SelectionPlan:
             fp,
             self.impl_override,
             self.backend,
-            self.kernels,
             self.topology,
             self.prefilter,
             # sketch_eps only shapes behaviour when the pre-filter is on.
@@ -337,7 +324,7 @@ class SelectionPlan:
                  f"seed={self.seed}"]
         for name in ("sequential_method", "endgame_threshold",
                      "max_iterations", "impl_override", "backend",
-                     "kernels", "topology", "prefilter", "trace"):
+                     "topology", "prefilter", "trace"):
             v = getattr(self, name)
             if v is not None:
                 parts.append(f"{name}={v}")

@@ -1,14 +1,13 @@
 """Sequential building blocks: partitioning, selection, weighted median,
-bucket preprocessing — each with a simulated-cost companion."""
+bucket preprocessing — each with a simulated-cost companion.
+
+Ranks run them through :class:`CostedKernels`, which charges each pass
+from the cost formulas. The 3-way split gathers each side only when it is
+read (:class:`~repro.kernels.partition.Partition3`).
+"""
 
 from .buckets import BucketScan, LocalBuckets, build_cost, default_n_buckets
 from .costed import CostedKernels
-from .dispatch import (
-    KERNEL_MODES,
-    KERNELS_ENV_VAR,
-    default_kernels_mode,
-    resolve_kernels,
-)
 from .partition import (
     Partition2,
     Partition3,
@@ -32,12 +31,8 @@ from .weighted_median import weighted_median, weighted_median_cost
 
 __all__ = [
     "BucketScan",
-    "KERNEL_MODES",
-    "KERNELS_ENV_VAR",
     "LocalBuckets",
     "build_cost",
-    "default_kernels_mode",
-    "resolve_kernels",
     "default_n_buckets",
     "CostedKernels",
     "Partition2",

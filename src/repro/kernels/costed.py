@@ -10,11 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..machine.engine import ProcContext
-from . import fast as _fast
 from . import partition as _partition
 from . import select as _select
 from .buckets import BucketScan, LocalBuckets, build_cost
-from .dispatch import resolve_kernels
 from .weighted_median import weighted_median, weighted_median_cost
 
 __all__ = ["CostedKernels"]
@@ -23,26 +21,20 @@ __all__ = ["CostedKernels"]
 class CostedKernels:
     """Sequential kernels bound to one rank's clock and cost model.
 
-    ``kernels`` picks the executing implementations — ``"reference"`` or
-    ``"fast"`` (``None`` defers to ``$REPRO_KERNELS``, default reference).
-    Charges are computed from the reference cost formulas *before* the
-    executing kernel is chosen, so the two modes produce bit-identical
-    values and simulated times (pinned by ``tests/test_kernel_modes.py``);
-    only host wall clock differs.
+    Each method charges its pass before running it. The 3-way splits
+    return a :class:`~repro.kernels.partition.Partition3`, whose sides are
+    gathered on first read: the charge covers the whole partition pass
+    whichever sides the caller reads.
     """
 
-    def __init__(self, ctx: ProcContext, kernels: str | None = None):
+    def __init__(self, ctx: ProcContext):
         self.ctx = ctx
         self.model = ctx.model
-        self.kernels = resolve_kernels(kernels)
-        self._fast = self.kernels == "fast"
 
     # ------------------------------------------------------------ partition
 
     def partition3(self, arr: np.ndarray, pivot) -> _partition.Partition3:
         self.ctx.charge_compute(_partition.partition_cost(self.model, arr.size))
-        if self._fast:
-            return _fast.fast_partition3(arr, pivot)
         return _partition.partition3(arr, pivot)
 
     def partition2(self, arr: np.ndarray, pivot) -> _partition.Partition2:
@@ -53,7 +45,7 @@ class CostedKernels:
         self.ctx.charge_compute(_partition.partition_cost(self.model, arr.size))
         return _partition.count3(arr, pivot)
 
-    def partition_band(self, arr: np.ndarray, lo, hi):
+    def partition_band(self, arr: np.ndarray, lo, hi) -> _partition.Partition3:
         self.ctx.charge_compute(_partition.partition_cost(self.model, arr.size))
         return _partition.partition_band(arr, lo, hi)
 
@@ -79,17 +71,10 @@ class CostedKernels:
         for wall-clock speed on huge benchmark grids) without changing the
         simulated charge: the k-th smallest is a unique value, so every
         implementation returns the same answer — only the simulated cost is
-        algorithm-dependent, and that always follows ``method``. Fast
-        kernel mode applies the same swap (introselect) by default.
+        algorithm-dependent, and that always follows ``method``.
         """
         self.ctx.charge_compute(_select.select_cost(self.model, arr.size, method))
-        return _select.select_kth(arr, k, method=self._impl(method, impl), rng=rng)
-
-    def _impl(self, method, impl):
-        """The executing sequential-select kernel for a charged ``method``."""
-        if impl is not None:
-            return impl
-        return "introselect" if self._fast else method
+        return _select.select_kth(arr, k, method=impl or method, rng=rng)
 
     def local_median(
         self,
@@ -119,9 +104,7 @@ class CostedKernels:
         self.ctx.charge_compute(
             _select.multi_select_cost(self.model, arr.size, len(ks), method)
         )
-        return _select.select_multi_kth(
-            arr, ks, method=self._impl(method, impl), rng=rng
-        )
+        return _select.select_multi_kth(arr, ks, method=impl or method, rng=rng)
 
     def sort(self, arr: np.ndarray) -> np.ndarray:
         n = max(int(arr.size), 1)
@@ -134,8 +117,6 @@ class CostedKernels:
 
     def build_buckets(self, arr: np.ndarray, n_buckets: int) -> LocalBuckets:
         self.ctx.charge_compute(build_cost(self.model, arr.size, n_buckets))
-        if self._fast:
-            return _fast.fast_build_buckets(arr, n_buckets)
         return LocalBuckets.build(arr, n_buckets)
 
     def charge_scan_evidence(

@@ -7,6 +7,11 @@ the moment the target rank lands in the ``==`` band (DESIGN.md deviation #1).
 Both kernels are provided; the 2-way one is kept for the ablation bench that
 demonstrates the livelock on duplicate-heavy inputs.
 
+The 3-way split is one operation whether it runs around a pivot (Steps 4/5)
+or a sample bracket (Algorithm 4's Step 5): :class:`Partition3` counts its
+sides up front and gathers each one on first read, so a caller that keeps
+one side pays for one gather.
+
 All kernels are single NumPy passes (boolean masks) per the hpc-parallel
 guide: no Python-level loops over elements.
 """
@@ -49,25 +54,48 @@ class Partition2:
         return int(self.gt.size)
 
 
-@dataclass(frozen=True)
 class Partition3:
-    """Result of a 3-way split around ``pivot``."""
+    """A 3-way split of ``arr`` around the band ``[lo, hi]``: ``lt``
+    (``< lo``), ``eq`` (``lo <= x <= hi``) and ``gt`` (``> hi``).
 
-    lt: np.ndarray
-    eq: np.ndarray
-    gt: np.ndarray
+    The two comparison masks and the three counts are computed up front;
+    each side is gathered on first read and then kept, so a caller that
+    classifies by the counts and keeps one side pays for one gather. Every
+    side keeps ``arr``'s element order, which a positional pivot draw can
+    see. A key that compares false both ways (NaN) counts as ``eq``.
+    """
+
+    __slots__ = ("_arr", "_lt_mask", "_gt_mask", "_lt", "_eq", "_gt",
+                 "n_lt", "n_eq", "n_gt")
+
+    def __init__(self, arr: np.ndarray, lo, hi):
+        self._arr = arr
+        self._lt_mask = arr < lo
+        self._gt_mask = arr > hi
+        self.n_lt = int(np.count_nonzero(self._lt_mask))
+        self.n_gt = int(np.count_nonzero(self._gt_mask))
+        self.n_eq = int(arr.size) - self.n_lt - self.n_gt
+        self._lt = self._eq = self._gt = None
+
+    # np.compress (nonzero + take) beats boolean indexing on unpredictable
+    # masks and returns the same elements in the same order.
+    @property
+    def lt(self) -> np.ndarray:
+        if self._lt is None:
+            self._lt = np.compress(self._lt_mask, self._arr)
+        return self._lt
 
     @property
-    def n_lt(self) -> int:
-        return int(self.lt.size)
+    def eq(self) -> np.ndarray:
+        if self._eq is None:
+            self._eq = np.compress(~(self._lt_mask | self._gt_mask), self._arr)
+        return self._eq
 
     @property
-    def n_eq(self) -> int:
-        return int(self.eq.size)
-
-    @property
-    def n_gt(self) -> int:
-        return int(self.gt.size)
+    def gt(self) -> np.ndarray:
+        if self._gt is None:
+            self._gt = np.compress(self._gt_mask, self._arr)
+        return self._gt
 
 
 def partition2(arr: np.ndarray, pivot) -> Partition2:
@@ -77,11 +105,9 @@ def partition2(arr: np.ndarray, pivot) -> Partition2:
 
 
 def partition3(arr: np.ndarray, pivot) -> Partition3:
-    """Split ``arr`` into (``< pivot``, ``== pivot``, ``> pivot``)."""
-    lt_mask = arr < pivot
-    gt_mask = arr > pivot
-    eq_mask = ~(lt_mask | gt_mask)
-    return Partition3(lt=arr[lt_mask], eq=arr[eq_mask], gt=arr[gt_mask])
+    """Split ``arr`` into (``< pivot``, ``== pivot``, ``> pivot``): the
+    band split with ``lo == hi == pivot``."""
+    return Partition3(arr, pivot, pivot)
 
 
 def count3(arr: np.ndarray, pivot) -> tuple[int, int, int]:
@@ -91,13 +117,10 @@ def count3(arr: np.ndarray, pivot) -> tuple[int, int, int]:
     return lt, int(arr.size - lt - gt), gt
 
 
-def partition_band(arr: np.ndarray, lo, hi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def partition_band(arr: np.ndarray, lo, hi) -> Partition3:
     """Split ``arr`` into (``< lo``, ``[lo, hi]``, ``> hi``) — Step 5 of the
     fast randomized algorithm (Algorithm 4)."""
-    less_mask = arr < lo
-    high_mask = arr > hi
-    mid_mask = ~(less_mask | high_mask)
-    return arr[less_mask], arr[mid_mask], arr[high_mask]
+    return Partition3(arr, lo, hi)
 
 
 def partition_cost(model: CostModel, n: int) -> float:

@@ -30,6 +30,7 @@ from __future__ import annotations
 import abc
 import contextlib
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
@@ -184,6 +185,10 @@ class Launch:
     tracer: Tracer | NullTracer = field(default_factory=NullTracer)
     join_timeout: float = 120.0
     topology: Topology | str | None = None
+    #: Persistent-worker events this launch caused (``forks``, ``reuses``,
+    #: ``pinned_bytes``), filled by the backend that ran it; the runtime
+    #: adds them to its own machine's counters.
+    counts: Counter = field(default_factory=Counter)
 
     def __post_init__(self) -> None:
         validate_n_procs(self.n_procs)

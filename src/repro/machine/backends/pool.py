@@ -11,7 +11,8 @@ amortises it:
   needs them and then kept alive; subsequent launches push a small pickled
   job descriptor down per-rank job queues instead of spawning processes.
   :attr:`PoolBackend.fork_count` counts spawn events so tests and benches
-  can assert "k launches, one fork".
+  can assert "k launches, one fork"; each launch also carries its own
+  share, which its machine's counters add up.
 * **Shards are pinned.** Every NumPy array in ``rank_args`` is copied once
   into a :class:`~repro.machine.backends._shm.SharedArray` and referenced
   in later jobs by a small token; workers inherit the pin table at fork
@@ -44,10 +45,9 @@ Requires the ``fork`` start method (POSIX), same as ``process``.
 from __future__ import annotations
 
 import atexit
-import os
 import pickle
 import time
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,12 +69,6 @@ from .base import (
 from .process import ProcessBackend, collect_results, require_fork
 
 __all__ = ["PoolBackend"]
-
-#: Environment variables forwarded from the parent to pool workers with
-#: every job: workers fork once, so parent-side changes (e.g. a test
-#: flipping ``REPRO_KERNELS``) must ride the job descriptor to be seen.
-#: Listed literally — the machine layer must not import the kernel layer.
-FORWARDED_ENV = ("REPRO_KERNELS",)
 
 #: Soft cap on shard bytes pinned in shared memory before least-recently
 #: used pins are dropped (a dropped pin only costs a re-copy + re-fork if
@@ -101,15 +95,10 @@ def _pool_worker_main(rank, p, pins, inboxes, job_q, result_q):
         epoch, payload = job
         try:
             (fn, extra, args, kwargs, cost_model, topology, trace_enabled,
-             timeout, env) = pickle.loads(payload)
+             timeout) = pickle.loads(payload)
         except BaseException as exc:  # noqa: BLE001 - must report, not hang
             result_q.put((epoch, "error", rank, picklable_failure(exc)))
             continue
-        for name, value in env.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
         transport = RankTransport(rank, p, inboxes, timeout)
         ctx, clock, tracer = build_worker_context(
             rank, p, cost_model, topology, transport, trace_enabled
@@ -172,7 +161,6 @@ class _RankPool:
         for pr in self.procs:
             pr.start()
         self.forked_tokens = frozenset(pins)
-        self.backend.fork_count += 1
 
     def teardown(self) -> None:
         """Retire the generation: sentinel, join, terminate stragglers,
@@ -223,14 +211,27 @@ class PoolBackend(ExecutionBackend):
         self._pin_table: dict[int, SharedArray] = {}
         self._pinned_bytes = 0
         self._next_token = 0
-        #: Cumulative worker spawn events (generation forks + one-shot
-        #: fallback launches). Survives :meth:`shutdown` so "k launches,
-        #: one fork" stays assertable across a pool's whole life.
-        self.fork_count = 0
-        #: Launches served by an already-live generation (zero forks).
-        self.reuse_count = 0
+        #: Worker events over every launch this backend ran: ``forks``
+        #: (generation forks + one-shot fallback launches) and ``reuses``
+        #: (launches served by an already-live generation). Survives
+        #: :meth:`shutdown` so "k launches, one fork" stays assertable
+        #: across a pool's whole life.
+        self.events: Counter = Counter()
         self._fallback = _InheritedLaunchFallback()
         atexit.register(self.shutdown)
+
+    @property
+    def fork_count(self) -> int:
+        return self.events["forks"]
+
+    @property
+    def reuse_count(self) -> int:
+        return self.events["reuses"]
+
+    def _count(self, launch: Launch, event: str) -> None:
+        """One worker event, counted on the backend and on ``launch``."""
+        self.events[event] += 1
+        launch.counts[event] += 1
 
     # ------------------------------------------------------------- pinning
 
@@ -239,8 +240,8 @@ class PoolBackend(ExecutionBackend):
         shared = self._pin_table.pop(token)
         self._pinned_bytes -= shared.nbytes
 
-    def _pin(self, arr: np.ndarray) -> int:
-        """Pin ``arr`` (identity-keyed) and return its token.
+    def _pin(self, arr: np.ndarray, launch: Launch) -> int:
+        """Pin ``arr`` (identity-keyed) for ``launch`` and return its token.
 
         The cache holds a strong reference to the original array, so its
         ``id`` stays valid for the cache's lifetime; ``matches`` catches
@@ -260,6 +261,7 @@ class PoolBackend(ExecutionBackend):
         self._pin_table[token] = shared
         self._pin_cache[key] = (arr, token)
         self._pinned_bytes += shared.nbytes
+        launch.counts["pinned_bytes"] += shared.nbytes
         return token
 
     def _evict_over_budget(self, protect: frozenset[int]) -> None:
@@ -272,16 +274,16 @@ class PoolBackend(ExecutionBackend):
                 continue
             self._unpin(key)
 
-    def _pin_rank_args(self, rank_args):
+    def _pin_rank_args(self, launch: Launch):
         """Replace arrays with pin tokens; returns ``(rows, needed)``."""
-        if rank_args is None:
+        if launch.rank_args is None:
             return None, frozenset()
         rows, needed = [], set()
-        for row in rank_args:
+        for row in launch.rank_args:
             out = []
             for a in row:
                 if isinstance(a, np.ndarray):
-                    token = self._pin(a)
+                    token = self._pin(a, launch)
                     needed.add(token)
                     out.append(_PinRef(token))
                 else:
@@ -296,7 +298,6 @@ class PoolBackend(ExecutionBackend):
     def _encode_jobs(self, launch: Launch, rows) -> list[bytes] | None:
         """Pickle one job descriptor per rank, or ``None`` if the launch
         cannot cross into already-running workers."""
-        env = {name: os.environ.get(name) for name in FORWARDED_ENV}
         try:
             payloads = []
             for rank in range(launch.n_procs):
@@ -304,7 +305,7 @@ class PoolBackend(ExecutionBackend):
                 payloads.append(pickle.dumps((
                     launch.fn, extra, launch.args, launch.kwargs,
                     launch.cost_model, launch.topology,
-                    launch.tracer.enabled, launch.join_timeout, env,
+                    launch.tracer.enabled, launch.join_timeout,
                 )))
             return payloads
         except Exception:
@@ -322,12 +323,12 @@ class PoolBackend(ExecutionBackend):
                 (launch.fn, launch.args, launch.kwargs)
             )
         except Exception:
-            self.fork_count += 1
+            self._count(launch, "forks")
             return self._fallback.execute(launch)
-        rows, needed = self._pin_rank_args(launch.rank_args)
+        rows, needed = self._pin_rank_args(launch)
         payloads = self._encode_jobs(launch, rows)
         if payloads is None:
-            self.fork_count += 1
+            self._count(launch, "forks")
             return self._fallback.execute(launch)
 
         # Wall clock from here mirrors the process backend: the fork (when
@@ -338,8 +339,9 @@ class PoolBackend(ExecutionBackend):
             pool = self._pools[p] = _RankPool(self, p)
         if not pool.alive or not needed <= pool.forked_tokens:
             pool.spawn(mp_ctx, self._pin_table)
+            self._count(launch, "forks")
         else:
-            self.reuse_count += 1
+            self._count(launch, "reuses")
 
         pool.epoch += 1
         epoch = pool.epoch

@@ -33,6 +33,7 @@ original exception. No deadlocks, no leaked threads or processes.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Any, Callable, Sequence
 
 from ..obs import get_recorder
@@ -81,6 +82,10 @@ class SPMDRuntime:
         #: SPMD launches executed so far (the serving layer's cost unit:
         #: Session coalescing and caching are asserted against this).
         self.launch_count = 0
+        #: Persistent-worker events of this runtime's own launches, failed
+        #: ones included (``forks``, ``reuses``, ``pinned_bytes``): a shared
+        #: backend's other users never show up here.
+        self.counts: Counter = Counter()
 
     def run(
         self,
@@ -126,13 +131,16 @@ class SPMDRuntime:
         )
         self.launch_count += 1
         REGISTRY.counter("repro.spmd.launches", backend=chosen.name).inc()
-        if not recorder.enabled:
-            return chosen.execute(launch)
-        with recorder.span(
-            "spmd.launch", p=self.n_procs, backend=chosen.name,
-            topology=launch.topology.name,
-        ) as span:
-            result = chosen.execute(launch)
+        try:
+            if not recorder.enabled:
+                return chosen.execute(launch)
+            with recorder.span(
+                "spmd.launch", p=self.n_procs, backend=chosen.name,
+                topology=launch.topology.name,
+            ) as span:
+                result = chosen.execute(launch)
+        finally:
+            self.counts.update(launch.counts)
         sim_base = recorder.advance_sim(result.simulated_time)
         span.sim_t0 = sim_base
         span.sim_t1 = sim_base + result.simulated_time
@@ -145,19 +153,20 @@ class SPMDRuntime:
 
     @property
     def fork_count(self) -> int:
-        """Worker spawn events recorded by this runtime's default backend
-        (0 for backends without persistent workers). The ``pool`` backend
-        increments it per generation fork / fallback launch, so "k
-        launches, one fork" is assertable next to :attr:`launch_count`."""
-        return getattr(self.backend, "fork_count", 0)
+        """Worker spawn events this runtime's launches caused (0 on
+        backends without persistent workers). The ``pool`` backend counts
+        one per generation fork / fallback launch, so "k launches, one
+        fork" is assertable next to :attr:`launch_count`."""
+        return self.counts["forks"]
 
     @property
     def reuse_count(self) -> int:
-        """Launches served by an already-live worker generation (0 for
-        backends without persistent workers). A long-running service's
-        "fork once, serve many" receipt: on the ``pool`` backend this
-        grows with every warm launch while :attr:`fork_count` stays put."""
-        return getattr(self.backend, "reuse_count", 0)
+        """This runtime's launches served by an already-live worker
+        generation (0 on backends without persistent workers). A
+        long-running service's "fork once, serve many" receipt: on the
+        ``pool`` backend this grows with every warm launch while
+        :attr:`fork_count` stays put."""
+        return self.counts["reuses"]
 
     def release_workers(self) -> None:
         """Release any persistent worker state the default backend holds

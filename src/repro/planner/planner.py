@@ -16,13 +16,10 @@ topology, and optional distribution evidence (ingest-time sketches on a
    :class:`PlanDecision` that keeps the full ranked table for
    ``python -m repro.planner explain`` and the obs span.
 
-Deviation note (see DESIGN.md): the kernel-mode dimension of the ISSUE's
-candidate space collapses analytically — simulated charges follow the
-reference cost formulas regardless of ``kernels``, so every kernel mode
-prices identically and the base plan's choice is simply forwarded.
-Likewise hybrids and ``sort_based`` never appear as candidates: the paper
-states no closed-form bound for them, so the planner has no way to price
-them (picking them explicitly still works and simply skips prediction).
+Deviation note (see DESIGN.md): hybrids and ``sort_based`` never appear
+as candidates: the paper states no closed-form bound for them, so the
+planner has no way to price them (picking them explicitly still works and
+simply skips prediction).
 """
 
 from __future__ import annotations
@@ -257,10 +254,10 @@ def resolve_auto(
     """Resolve an ``algorithm="auto"`` plan to the planner's winner.
 
     The launch-path entry point: every knob of the incoming plan except
-    ``algorithm``/``prefilter`` is preserved, so seeds, kernels, backend
-    and topology behave exactly as if the user had named the winning
-    algorithm explicitly — which is what makes auto bit-identical to the
-    explicit plan.
+    ``algorithm``/``prefilter`` is preserved, so seeds, sequential
+    methods, backend and topology behave exactly as if the user had named
+    the winning algorithm explicitly — which is what makes auto
+    bit-identical to the explicit plan.
     """
     if plan.algorithm != "auto":
         raise ConfigurationError(

@@ -68,11 +68,6 @@ class SelectionConfig:
         the bench harness on huge grids: the selected value is identical for
         every implementation, so results and simulated times are unchanged
         while wall-clock drops by the deterministic kernel's constant.
-    kernels:
-        Executing kernel mode for per-rank local work (``"reference"`` or
-        ``"fast"``, see :mod:`repro.kernels.dispatch`); ``None`` defers to
-        ``$REPRO_KERNELS``. Values and simulated times are unchanged —
-        only host wall clock.
     """
 
     balancer: Balancer = field(default_factory=NoBalance)
@@ -81,7 +76,6 @@ class SelectionConfig:
     max_iterations: int | None = None
     endgame_threshold: int | None = None
     impl_override: SelectMethod | None = None
-    kernels: str | None = None
 
     def iteration_guard(self, n: int) -> int:
         if self.max_iterations is not None:

@@ -122,8 +122,8 @@ class ArrayLive:
     def classify(self, K: CostedKernels, pivot) -> tuple[int, int]:
         """3-way partition around ``pivot``; returns local (lt, eq) counts.
 
-        The materialised split is kept so :meth:`take` / :meth:`split` are
-        free (the partition pass was already charged).
+        The split is kept so :meth:`take` / :meth:`split` gather only the
+        sides they keep (the partition pass was already charged).
         """
         self._parts = K.partition3(self.arr, pivot)
         return self._parts.n_lt, self._parts.n_eq
@@ -316,7 +316,7 @@ class ContractionEngine:
     ):
         self.ctx = ctx
         self.cfg = cfg
-        self.K = CostedKernels(ctx, kernels=cfg.kernels)
+        self.K = CostedKernels(ctx)
         self.strategy = strategy.bind(ctx, self.K, cfg)
         self.stats = stats
         self.results: list = []
@@ -452,9 +452,9 @@ class ContractionEngine:
     def _apply_band(self, iv: _Interval, lo, hi, queue: list) -> None:
         n_before, ni = iv.n, iv.live.count
         k_first = iv.targets[0].k
-        less, middle, high = self.K.partition_band(iv.live.arr, lo, hi)
+        parts = self.K.partition_band(iv.live.arr, lo, hi)
         c_less, c_mid = self.ctx.comm.combine(
-            np.array([less.size, middle.size], dtype=np.int64)
+            np.array([parts.n_lt, parts.n_eq], dtype=np.int64)
         )
         c_less, c_mid = int(c_less), int(c_mid)
 
@@ -479,15 +479,14 @@ class ContractionEngine:
         # one-sided rescue instead of a retry).
         successful = not less_t and not high_t
         children = []
+        # Only the sides that keep a target are gathered.
         if less_t:
-            children.append(_Interval(ArrayLive(less), c_less, less_t))
+            children.append(_Interval(ArrayLive(parts.lt), c_less, less_t))
         if mid_t:
-            children.append(
-                _Interval(ArrayLive(middle), c_mid, mid_t)
-            )
+            children.append(_Interval(ArrayLive(parts.eq), c_mid, mid_t))
         if high_t:
             children.append(_Interval(
-                ArrayLive(high), n_before - c_less - c_mid, high_t
+                ArrayLive(parts.gt), n_before - c_less - c_mid, high_t
             ))
 
         if not children:
@@ -665,7 +664,7 @@ def contract_multi_select(
     )
     arr = np.asarray(shard)
     if ctx.size == 1:
-        K = CostedKernels(ctx, kernels=cfg.kernels)
+        K = CostedKernels(ctx)
         n = int(arr.size)
         for k in ks:
             check_rank(n, k)

@@ -35,7 +35,7 @@ def sort_based_select(
     ctx: ProcContext, shard: np.ndarray, k: int, cfg: SelectionConfig
 ) -> tuple[object, SelectionStats]:
     """SPMD entry point: full parallel sort, then an O(1) rank lookup."""
-    K = CostedKernels(ctx, kernels=cfg.kernels)
+    K = CostedKernels(ctx)
     arr = np.asarray(shard)
     n = int(ctx.comm.allreduce_sum(int(arr.size)))
     check_rank(n, k)
@@ -58,7 +58,7 @@ def sort_based_multi_select(
     on the dedicated algorithms. The batched rank lookup costs two extra
     collectives total, not two per rank.
     """
-    K = CostedKernels(ctx, kernels=cfg.kernels)
+    K = CostedKernels(ctx)
     arr = np.asarray(shard)
     n = int(ctx.comm.allreduce_sum(int(arr.size)))
     for k in ks:

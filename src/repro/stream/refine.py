@@ -123,9 +123,9 @@ def _prefilter(ctx, K: CostedKernels, shard: np.ndarray,
     survivor_parts: list[np.ndarray] = []
     if len(intervals) <= 2:
         for lo, hi, _targets in intervals:
-            less, mid, _high = K.partition_band(shard, lo, hi)
-            local_counts.extend((less.size, mid.size))
-            survivor_parts.append(mid)
+            parts = K.partition_band(shard, lo, hi)
+            local_counts.extend((parts.n_lt, parts.n_eq))
+            survivor_parts.append(parts.eq)
     else:
         bounds = [b for lo, hi, _t in intervals for b in (lo, hi)]
         cuts = np.unique(np.asarray(bounds))
@@ -205,7 +205,7 @@ def execute_sketch_select(
     prebuilt, amortised = _prebuilt_sketches(data, eps)
 
     def program(ctx, shard, local_sk, target_k, config):
-        K = CostedKernels(ctx, kernels=config.kernels)
+        K = CostedKernels(ctx)
         merged = _merged_sketch(
             ctx, K, _local_sketch(ctx, K, shard, eps, local_sk), eps
         )
@@ -258,7 +258,7 @@ def execute_sketch_multi_select(
     prebuilt, amortised = _prebuilt_sketches(data, eps)
 
     def program(ctx, shard, local_sk, ks_sorted, config):
-        K = CostedKernels(ctx, kernels=config.kernels)
+        K = CostedKernels(ctx)
         merged = _merged_sketch(
             ctx, K, _local_sketch(ctx, K, shard, eps, local_sk), eps
         )

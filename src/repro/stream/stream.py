@@ -43,7 +43,7 @@ import hashlib
 
 import numpy as np
 
-from ..core.array import DistributedArray, Machine
+from ..core.array import DistributedArray, Machine, check_ordered_keys
 from ..errors import ConfigurationError
 from .sketch import QuantileSketch, merge_all
 
@@ -175,6 +175,7 @@ class StreamingArray(DistributedArray):
             raise ConfigurationError(
                 f"append expects a 1-D batch, got ndim={batch.ndim}"
             )
+        check_ordered_keys(batch)
         if self._dtype is None:
             self._dtype = batch.dtype
         elif batch.dtype != self._dtype:

@@ -11,7 +11,7 @@ import pytest
 
 import repro
 from repro.balance import get_balancer
-from repro.errors import WorkerError
+from repro.errors import ConfigurationError, WorkerError
 from repro.kernels import CostedKernels
 from repro.machine import run_spmd
 
@@ -194,6 +194,22 @@ class TestBadProgramShapes:
         m = repro.Machine(n_procs=2)
         d = m.distribute(np.array([3.0, 1.0, 2.0, 5.0]))
         assert repro.select(d, 2).value == 2.0
+
+    @pytest.mark.parametrize("entry", ["distribute", "from_shards", "append"])
+    def test_nan_keys_rejected_where_keys_enter(self, entry):
+        # Admitted, these keys made three algorithms' ranks disagree and
+        # bucket_based return wrong quantiles.
+        rng = np.random.default_rng(0)
+        keys = rng.random(4000)
+        keys[rng.choice(keys.size, 1500, replace=False)] = np.nan
+        m = repro.Machine(n_procs=4)
+        with pytest.raises(ConfigurationError, match="NaN"):
+            if entry == "distribute":
+                m.distribute(keys)
+            elif entry == "from_shards":
+                m.from_shards(np.array_split(keys, 4))
+            else:
+                m.stream().append(keys)
 
     def test_mismatched_shard_dtypes_still_work(self):
         m = repro.Machine(n_procs=2)

@@ -67,17 +67,17 @@ class TestPartition3:
 class TestPartitionBand:
     def test_band_split(self):
         arr = np.array([1, 3, 5, 7, 9, 5])
-        less, mid, high = partition_band(arr, 3, 7)
-        assert less.tolist() == [1]
-        assert sorted(mid.tolist()) == [3, 5, 5, 7]
-        assert high.tolist() == [9]
+        r = partition_band(arr, 3, 7)
+        assert r.lt.tolist() == [1]
+        assert sorted(r.eq.tolist()) == [3, 5, 5, 7]
+        assert r.gt.tolist() == [9]
 
     def test_band_collapsed(self):
         arr = np.array([1, 2, 2, 3])
-        less, mid, high = partition_band(arr, 2, 2)
-        assert less.tolist() == [1]
-        assert mid.tolist() == [2, 2]
-        assert high.tolist() == [3]
+        r = partition_band(arr, 2, 2)
+        assert r.lt.tolist() == [1]
+        assert r.eq.tolist() == [2, 2]
+        assert r.gt.tolist() == [3]
 
 
 class TestCost:
@@ -103,10 +103,71 @@ def test_property_partition3_classifies_every_element(arr, pivot):
        st.integers(-50, 50), st.integers(-50, 50))
 def test_property_band_is_exhaustive(arr, a, b):
     lo, hi = min(a, b), max(a, b)
-    less, mid, high = partition_band(arr, lo, hi)
-    assert less.size + mid.size + high.size == arr.size
-    assert np.all(less < lo) and np.all(high > hi)
-    assert np.all((mid >= lo) & (mid <= hi))
+    r = partition_band(arr, lo, hi)
+    assert r.lt.size + r.eq.size + r.gt.size == arr.size
+    assert np.all(r.lt < lo) and np.all(r.gt > hi)
+    assert np.all((r.eq >= lo) & (r.eq <= hi))
+
+
+def eager_partition_band(arr: np.ndarray, lo, hi):
+    """Oracle: the eager three-mask split, every side gathered up front."""
+    less_mask = arr < lo
+    high_mask = arr > hi
+    mid_mask = ~(less_mask | high_mask)
+    return arr[less_mask], arr[mid_mask], arr[high_mask]
+
+
+# Duplicate-heavy / near-constant / empty arrays are exactly where a split
+# kernel's tie handling can diverge; tiny value pools force ties.
+adversarial_arrays = st.one_of(
+    st.just(np.array([])),
+    st.lists(
+        st.sampled_from([0.0, 1.0, 1.0, 1.0, 2.0, 7.5]), max_size=120
+    ).map(np.array),
+    st.lists(st.integers(0, 3), max_size=120).map(
+        lambda xs: np.array(xs, dtype=np.int64)
+    ),
+    st.lists(floats, max_size=80).map(np.array),
+)
+
+
+def _pivots(arr):
+    """Pivot candidates: the array's own keys plus two fixed ones."""
+    return st.sampled_from(list(np.concatenate([arr, [0.0, 1.0]])))
+
+
+def _check_split_against_oracle(split, expected, read_order):
+    # The counts are right before any side is read.
+    assert (split.n_lt, split.n_eq, split.n_gt) == tuple(
+        e.size for e in expected
+    )
+    got = {name: getattr(split, name) for name in read_order}
+    for name, want in zip(("lt", "eq", "gt"), expected):
+        assert got[name].dtype == want.dtype
+        np.testing.assert_array_equal(got[name], want)  # order included
+        # A side is gathered once: a second read is the same array.
+        assert getattr(split, name) is got[name]
+
+
+class TestPartition3MatchesEagerOracle:
+    @given(arr=adversarial_arrays, data=st.data())
+    def test_partition3(self, arr, data):
+        pivot = data.draw(_pivots(arr))
+        _check_split_against_oracle(
+            partition3(arr, pivot),
+            eager_partition_band(arr, pivot, pivot),
+            data.draw(st.permutations(["lt", "eq", "gt"])),
+        )
+
+    @given(arr=adversarial_arrays, data=st.data())
+    def test_partition_band(self, arr, data):
+        a, b = data.draw(_pivots(arr)), data.draw(_pivots(arr))
+        lo, hi = min(a, b), max(a, b)
+        _check_split_against_oracle(
+            partition_band(arr, lo, hi),
+            eager_partition_band(arr, lo, hi),
+            data.draw(st.permutations(["lt", "eq", "gt"])),
+        )
 
 
 def argsort_partition_multiway(arr: np.ndarray, cuts) -> list[np.ndarray]:
@@ -178,3 +239,28 @@ def test_property_multiway_matches_argsort_oracle(case):
     for e, g in zip(expected, got):
         assert g.dtype == e.dtype
         np.testing.assert_array_equal(g, e)  # order included; NaN == NaN
+
+
+@given(arr=adversarial_arrays, data=st.data())
+def test_multiway_matches_argsort_oracle_on_tie_pools(arr, data):
+    pool = np.unique(np.concatenate([arr, [0.0, 1.0, 2.0]]))
+    n_cuts = data.draw(st.integers(1, min(len(pool), 12)))
+    cuts = np.sort(
+        data.draw(st.permutations(list(pool)).map(lambda x: x[:n_cuts]))
+    )
+    expected = argsort_partition_multiway(arr, cuts)
+    got = partition_multiway(arr, cuts)
+    assert len(got) == len(expected)
+    for e, g in zip(expected, got):
+        np.testing.assert_array_equal(g, e)  # order included
+
+
+@pytest.mark.parametrize(
+    "bad_cuts", [[], [[1.0, 2.0]], [2.0, 1.0], [1.0, 1.0]]
+)
+def test_multiway_validation_matches_oracle(bad_cuts):
+    arr = np.arange(6.0)
+    with pytest.raises(ConfigurationError):
+        argsort_partition_multiway(arr, bad_cuts)
+    with pytest.raises(ConfigurationError):
+        partition_multiway(arr, bad_cuts)

@@ -121,13 +121,14 @@ class TestCandidateSpace:
     def test_candidates_carry_base_knobs_and_are_launchable(
         self, fresh_store
     ):
-        base = SelectionPlan(seed=17, kernels="fast", backend="serial")
+        base = SelectionPlan(seed=17, impl_override="introselect",
+                             backend="serial")
         cands = enumerate_candidates(
             base, N, P, "crossbar", CM5, fresh_store
         )
         for cand in cands:
             assert cand.plan.seed == 17
-            assert cand.plan.kernels == "fast"
+            assert cand.plan.impl_override == "introselect"
             assert cand.plan.backend == "serial"
             cand.plan.resolve()  # every candidate must be launchable
             assert cand.predicted > 0
