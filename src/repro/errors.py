@@ -19,10 +19,11 @@ class ConfigurationError(ReproError, ValueError):
 
 
 class CommunicationError(ReproError, RuntimeError):
-    """A point-to-point or collective communication misuse.
+    """A collective communication misuse.
 
-    Examples: mismatched collective participation, a receive with no matching
-    send after the runtime drained, or payload type violations.
+    Examples: mismatched collective participation, a rank waiting at a
+    collective that a rank which already returned can never join, or a
+    payload that cannot cross the process boundary.
     """
 
 

@@ -3,10 +3,10 @@
 The SPMD contract every backend relies on: **all ranks issue the same
 collective sequence**. A collective reached under rank-dependent control
 flow desynchronises the machine — some ranks park in the rendezvous while
-the rest never arrive. The serial backend's deadlock detector catches this
-at *runtime* (and ``REPRO_VERIFY=lockstep`` catches the dynamic cases with
-call-site hashing); these rules catch the statically provable cases before
-anything runs:
+the rest never arrive. Every backend catches this at *runtime* once a rank
+returns while another waits at a collective (and ``REPRO_VERIFY=lockstep``
+catches the dynamic cases with call-site hashing); these rules catch the
+statically provable cases before anything runs:
 
 * **RPR101** — collective call lexically inside an ``if``/``elif``/ternary
   whose condition derives from ``*.rank``.

@@ -5,8 +5,8 @@ Three building blocks every rule family leans on:
 * **collective-call detection** — a call is a collective when it invokes
   one of the :class:`~repro.machine.comm.Comm` collective methods on a
   comm-like receiver (``comm``, ``ctx.comm``, ``self.comm`` or a local
-  alias assigned from one). Point-to-point ``send``/``recv`` are *not*
-  collectives — rank-dependent p2p is the normal idiom.
+  alias assigned from one). Every inter-rank exchange is one of these
+  collectives: there is no point-to-point ``send``/``recv``.
 * **rank-taint analysis** — which local names (transitively) derive from
   ``*.rank``. Deliberately *explicit-flow only* and flow-insensitive: a
   name assigned from a rank-dependent expression anywhere in the function

@@ -2,10 +2,10 @@
 
 This subpackage is the simulated CM-5: an SPMD launcher (:mod:`.engine`)
 over pluggable execution backends (:mod:`.backends` — ``serial`` /
-``threaded`` / ``process``), the six communication primitives lowered
-onto per-round schedules by pluggable machine shapes (:mod:`.topology` —
-``crossbar`` / ``binomial-tree`` / ``hypercube`` / ``two-level``) via
-:mod:`.collectives` / :mod:`.comm`, logical clocks with a
+``threaded`` / ``process`` / ``pool``), the six communication primitives
+lowered onto per-round schedules by pluggable machine shapes
+(:mod:`.topology` — ``crossbar`` / ``binomial-tree`` / ``hypercube`` /
+``two-level``) via :mod:`.collectives` / :mod:`.comm`, logical clocks with a
 compute/comm/balance breakdown (:mod:`.clock`), and the calibrated —
 optionally hierarchical — cost model itself (:mod:`.cost_model`).
 """

@@ -4,9 +4,9 @@ The paper's algorithms only assume a coarse-grained SPMD machine with
 collectives, so *how* ranks are physically driven is a strategy:
 
 ==============  ==========================================================
-``serial``      deterministic cooperative round-robin: one rank at a time,
-                handoff at communication points; fully reproducible
-                interleaving + deadlock detection (CI / debugging)
+``serial``      the threaded launch loop under a run token: one rank at a
+                time, handoff at collectives; fully reproducible
+                interleaving + desync diagnosis (CI / debugging)
 ``threaded``    one preemptive OS thread per rank (the historical
                 simulator); NumPy releases the GIL on large kernels
 ``process``     one forked process per rank, shard data in shared memory,

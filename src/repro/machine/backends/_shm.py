@@ -8,12 +8,12 @@ holds the common pieces once so they cannot drift apart:
   shared-memory buffer (``multiprocessing.RawArray``) the children inherit
   and wrap as a zero-copy NumPy view; shard bytes cross the process
   boundary exactly once regardless of how many launches scan them.
-* :class:`RankTransport` / :class:`QueueRendezvous` /
-  :class:`QueueBoard` — the per-rank inbox-queue message fabric that plugs
-  the forked ranks into the shared
+* :class:`RankTransport` / :class:`QueueRendezvous` — the per-rank
+  inbox-queue message fabric that plugs the forked ranks into the shared
   :class:`~repro.machine.collectives.CollectiveEngine`, so the cost
   formulas — and therefore the simulated times — are bit-identical to the
-  in-process backends.
+  in-process backends. Collective deposits are the only payloads it
+  carries.
 * :func:`build_worker_context` — assembles one child rank's
   :class:`~repro.machine.backends.base.ProcContext` over the transport.
 * :func:`picklable_failure` — exceptions must survive the result queue;
@@ -26,13 +26,12 @@ import ctypes
 import multiprocessing
 import pickle
 import queue as queue_module
-import time
-from collections import deque
 from typing import Any
 
 import numpy as np
 
 from ...errors import CommunicationError, WorkerAborted
+from ..barrier import departure_error
 from ..clock import LogicalClock
 from ..collectives import CollectiveEngine
 from ..comm import Comm
@@ -40,8 +39,6 @@ from ..trace import NullTracer, Tracer
 from .base import ProcContext
 
 __all__ = [
-    "QueueBoard",
-    "QueueMailbox",
     "QueueRendezvous",
     "RankTransport",
     "SharedArray",
@@ -130,10 +127,11 @@ class RankTransport:
     """One child's view of the inter-rank queues: demux + buffering.
 
     Every rank owns one inbox queue; peers push ``coll`` (collective
-    deposits, sequence-numbered), ``p2p`` (tagged point-to-point
-    payloads), ``end`` (clean-completion marker used by the drain check)
-    and ``abort`` messages into it. Per-producer FIFO order is what makes
-    the end-marker drain protocol sound.
+    deposits, sequence-numbered), ``end`` (clean-completion marker) and
+    ``abort`` messages into it. Per-producer FIFO order is what makes the
+    end marker exact: a peer's deposits all arrive before its ``end``, so
+    a rank still waiting for a deposit from a peer that ended waits for
+    one that will never come (a desynchronised program).
     """
 
     def __init__(self, rank: int, n: int, inboxes, timeout: float):
@@ -143,24 +141,23 @@ class RankTransport:
         self._inboxes = inboxes
         self._timeout = timeout
         self._coll: dict[tuple[int, int], tuple] = {}
-        self._p2p: dict[tuple[int, Any], deque] = {}
         self._ends: set[int] = set()
 
     # ---------------------------------------------------------------- sends
 
     def _encode(self, msg: tuple):
-        """Pickle payload-carrying messages eagerly, in the sending rank.
+        """Pickle collective deposits eagerly, in the sending rank.
 
         ``multiprocessing.Queue`` serialises on a background feeder
         thread; a payload that cannot pickle dies *there*, the message is
         never delivered, and every peer stalls until the launch timeout.
-        Encoding ``coll``/``p2p`` messages here instead turns that into a
+        Encoding ``coll`` messages here instead turns that into a
         synchronous :class:`CommunicationError` in the offending rank,
         which then takes the normal broadcast-abort + error-report path.
         Control messages (``end``/``abort``) stay plain tuples — they are
         always picklable and the parent injects raw ``abort`` tuples too.
         """
-        if msg[0] not in ("coll", "p2p"):
+        if msg[0] != "coll":
             return msg
         try:
             return pickle.dumps(msg, protocol=pickle.HIGHEST_PROTOCOL)
@@ -169,9 +166,6 @@ class RankTransport:
                 f"rank {self.rank}: {msg[0]} payload cannot cross the "
                 f"process boundary ({type(exc).__name__}: {exc})"
             ) from exc
-
-    def send_to(self, dest: int, msg: tuple) -> None:
-        self._inboxes[dest].put(self._encode(msg))
 
     def send_all(self, msg: tuple) -> None:
         wire = self._encode(msg)
@@ -182,10 +176,6 @@ class RankTransport:
     def broadcast_abort(self) -> None:
         self.aborted = True
         self.send_all(("abort",))
-
-    def deliver_local(self, source: int, tag, payload) -> None:
-        """A self-send: never touches a queue."""
-        self._p2p.setdefault((source, tag), deque()).append(payload)
 
     # --------------------------------------------------------------- receive
 
@@ -198,15 +188,12 @@ class RankTransport:
                 f"rank {self.rank}: no inter-rank message within {timeout}s "
                 "(peer stalled or desynchronised)"
             ) from None
-        if isinstance(msg, bytes):  # eagerly-encoded coll/p2p (see _encode)
+        if isinstance(msg, bytes):  # an eagerly-encoded coll (see _encode)
             msg = pickle.loads(msg)
         kind = msg[0]
         if kind == "coll":
             _, seq, src, op, value, clock_now = msg
             self._coll[(src, seq)] = (op, value, clock_now)
-        elif kind == "p2p":
-            _, src, tag, payload = msg
-            self._p2p.setdefault((src, tag), deque()).append(payload)
         elif kind == "end":
             self._ends.add(msg[1])
         else:  # "abort"
@@ -220,56 +207,32 @@ class RankTransport:
         key = (src, seq)
         while key not in self._coll:
             self._check_abort()
+            if src in self._ends:
+                raise departure_error(self.rank, self._ends)
             self._pump(self._timeout)
         self._check_abort()
         return self._coll.pop(key)
 
-    def wait_p2p(self, src: int, tag, timeout: float | None):
-        key = (src, tag)
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while not self._p2p.get(key):
-            self._check_abort()
-            remaining = self._timeout
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise TimeoutError(
-                        f"rank {self.rank}: recv(source={src}, tag={tag!r}) "
-                        f"timed out after {timeout}s"
-                    )
-                remaining = min(remaining, self._timeout)
-            try:
-                self._pump(remaining)
-            except CommunicationError:
-                if deadline is None:
-                    raise
-                continue  # keep waiting until the caller's own deadline
-        self._check_abort()
-        return self._p2p[key].popleft()
-
     # ----------------------------------------------------------------- drain
 
     def finish_and_drain(self) -> None:
-        """End-marker handshake + undelivered-message check.
+        """End-marker handshake + unread-deposit check.
 
         Each rank announces completion to every peer, waits for every
-        peer's announcement, then verifies nothing tagged for it is still
+        peer's announcement, then verifies no collective deposit is still
         buffered. Per-producer queue FIFO guarantees any message a peer
-        sent *before* its end marker has already been dispatched here, so
-        a clean pass means no unmatched sends anywhere — the
-        process-world equivalent of the runtime's ``drain_check``. A side
-        effect the persistent pool relies on: after every rank passes, all
-        inbox queues are empty, so they can carry the next launch.
+        sent *before* its end marker has already been dispatched here. A
+        side effect the persistent pool relies on: after every rank
+        passes, all inbox queues are empty, so they can carry the next
+        launch.
         """
         self.send_all(("end", self.rank))
         while len(self._ends) < self.n - 1:
             self._check_abort()
             self._pump(self._timeout)
-        pending = sum(len(q) for q in self._p2p.values())
-        if pending or self._coll:
+        if self._coll:
             raise CommunicationError(
-                f"rank {self.rank} finished with {pending} undelivered "
-                f"point-to-point message(s) and {len(self._coll)} unread "
+                f"rank {self.rank} finished with {len(self._coll)} unread "
                 "collective deposit(s)"
             )
 
@@ -307,45 +270,6 @@ class QueueRendezvous:
         self._t.broadcast_abort()
 
 
-class QueueMailbox:
-    """Receive side of one rank's point-to-point traffic."""
-
-    def __init__(self, transport: RankTransport):
-        self._t = transport
-
-    def recv(self, source: int, tag, timeout: float | None = None):
-        return self._t.wait_p2p(source, tag, timeout)
-
-
-class QueueBoard:
-    """MessageBoard-compatible facade over the queue transport."""
-
-    def __init__(self, transport: RankTransport):
-        self._t = transport
-        self._mailbox = QueueMailbox(transport)
-
-    def send(self, source: int, dest: int, tag, payload) -> None:
-        n = self._t.n
-        if not (0 <= dest < n):
-            raise CommunicationError(
-                f"send: destination rank {dest} out of range [0, {n})"
-            )
-        if dest == self._t.rank:
-            self._t.deliver_local(source, tag, payload)
-        else:
-            self._t.send_to(dest, ("p2p", source, tag, payload))
-
-    def mailbox(self, rank: int):
-        if rank != self._t.rank:  # pragma: no cover - misuse guard
-            raise CommunicationError(
-                "a rank may only read its own mailbox"
-            )
-        return self._mailbox
-
-    def abort(self) -> None:
-        self._t.broadcast_abort()
-
-
 def build_worker_context(
     rank: int,
     p: int,
@@ -365,11 +289,10 @@ def build_worker_context(
         p, cost_model, tracer, rendezvous=QueueRendezvous(transport),
         topology=topology,
     )
-    board = QueueBoard(transport)
     ctx = ProcContext(
         rank=rank,
         size=p,
-        comm=Comm(rank, p, engine, board, clock, cost_model),
+        comm=Comm(rank, p, engine, clock, cost_model),
         clock=clock,
         model=cost_model,
     )

@@ -14,8 +14,8 @@ separates *what* a launch is from *how* its ranks are physically driven:
   logical clock, cost model. Identical on every backend, which is what
   makes the cross-backend differential tests meaningful.
 * :class:`ExecutionBackend` — the strategy interface. Implementations:
-  ``serial`` (:mod:`.serial`), ``threaded`` (:mod:`.threaded`) and
-  ``process`` (:mod:`.process`).
+  ``serial`` (:mod:`.serial`), ``threaded`` (:mod:`.threaded`),
+  ``process`` (:mod:`.process`) and ``pool`` (:mod:`.pool`).
 * :class:`SPMDResult` — per-rank values, final clocks and breakdowns, the
   real wall time, and the name of the backend that ran the launch.
 
@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from ...errors import ConfigurationError, WorkerAborted, WorkerError
-from ..channels import MessageBoard
 from ..clock import Category, LogicalClock, TimeBreakdown
 from ..collectives import CollectiveEngine
 from ..comm import Comm
@@ -260,24 +259,20 @@ def run_single_rank(launch: Launch, backend_name: str) -> SPMDResult:
     engine = CollectiveEngine(
         1, launch.cost_model, launch.tracer, topology=launch.topology
     )
-    board = MessageBoard(1)
     clock = LogicalClock()
     ctx = ProcContext(
         rank=0,
         size=1,
-        comm=Comm(0, 1, engine, board, clock, launch.cost_model),
+        comm=Comm(0, 1, engine, clock, launch.cost_model),
         clock=clock,
         model=launch.cost_model,
     )
     t0 = time.perf_counter()
     try:
         value = launch.call(ctx)
-    except WorkerAborted as exc:  # pragma: no cover - single rank can't abort
-        raise_worker_failures([exc])
     except BaseException as exc:
         raise_worker_failures([exc])
     wall = time.perf_counter() - t0
-    board.drain_check()
     return SPMDResult(
         values=[value],
         clocks=[clock.now],

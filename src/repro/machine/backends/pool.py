@@ -12,7 +12,9 @@ amortises it:
   job descriptor down per-rank job queues instead of spawning processes.
   :attr:`PoolBackend.fork_count` counts spawn events so tests and benches
   can assert "k launches, one fork"; each launch also carries its own
-  share, which its machine's counters add up.
+  share, which its machine's counters add up. One generation lives per
+  rank count, and least-recently used generations are retired before a
+  fork would pass :data:`MAX_LIVE_WORKERS` live workers.
 * **Shards are pinned.** Every NumPy array in ``rank_args`` is copied once
   into a :class:`~repro.machine.backends._shm.SharedArray` and referenced
   in later jobs by a small token; workers inherit the pin table at fork
@@ -74,6 +76,12 @@ __all__ = ["PoolBackend"]
 #: used pins are dropped (a dropped pin only costs a re-copy + re-fork if
 #: that array comes back).
 MAX_PINNED_BYTES = 512 * 1024 * 1024
+
+#: Cap on live workers over all rank counts: before a fork would pass it,
+#: the least-recently used generations are retired (a retired generation
+#: only costs a re-fork if its rank count comes back). The paper's
+#: largest machine has 128 ranks.
+MAX_LIVE_WORKERS = 128
 
 
 @dataclass(frozen=True)
@@ -293,6 +301,25 @@ class PoolBackend(ExecutionBackend):
         self._evict_over_budget(needed)
         return rows, needed
 
+    def _make_room(self, n: int, keep: _RankPool | None = None) -> None:
+        """Retire least-recently used generations other than ``keep``
+        until ``n`` more workers fit under :data:`MAX_LIVE_WORKERS` (all
+        of them if they cannot)."""
+        others = [o for o in self._pools.values()
+                  if o is not keep and o.procs is not None]
+        live = sum(o.p for o in others)
+        for other in others:
+            if live + n <= MAX_LIVE_WORKERS:
+                return
+            other.teardown()
+            live -= other.p
+
+    def _fall_back(self, launch: Launch) -> SPMDResult:
+        """Run ``launch`` on one-shot inherited forks, room made first."""
+        self._make_room(launch.n_procs)
+        self._count(launch, "forks")
+        return self._fallback.execute(launch)
+
     # ------------------------------------------------------------ dispatch
 
     def _encode_jobs(self, launch: Launch, rows) -> list[bytes] | None:
@@ -323,21 +350,21 @@ class PoolBackend(ExecutionBackend):
                 (launch.fn, launch.args, launch.kwargs)
             )
         except Exception:
-            self._count(launch, "forks")
-            return self._fallback.execute(launch)
+            return self._fall_back(launch)
         rows, needed = self._pin_rank_args(launch)
         payloads = self._encode_jobs(launch, rows)
         if payloads is None:
-            self._count(launch, "forks")
-            return self._fallback.execute(launch)
+            return self._fall_back(launch)
 
         # Wall clock from here mirrors the process backend: the fork (when
         # one happens) is inside the measurement, argument staging is not.
         t0 = time.perf_counter()
-        pool = self._pools.get(p)
+        pool = self._pools.pop(p, None)
         if pool is None:
-            pool = self._pools[p] = _RankPool(self, p)
+            pool = _RankPool(self, p)
+        self._pools[p] = pool  # most recently used last
         if not pool.alive or not needed <= pool.forked_tokens:
+            self._make_room(p, keep=pool)
             pool.spawn(mp_ctx, self._pin_table)
             self._count(launch, "forks")
         else:

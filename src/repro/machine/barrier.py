@@ -9,6 +9,10 @@ wants richer semantics:
 * when any rank *fails* (raises), all ranks currently in — or later arriving
   at — the barrier must raise :class:`~repro.errors.WorkerAborted`
   immediately and permanently (an aborted run never resumes);
+* when a rank *returns*, it has issued its last collective, so no later
+  cohort can fill: every rank parked at — or later arriving at — the
+  barrier raises :class:`~repro.errors.CommunicationError` naming it (a
+  desynchronised program fails at once instead of hanging);
 * every collective crosses the barrier exactly once, so the crossing must
   also *close* the collective: the last party to arrive runs a cohort
   action once, while every other party is parked, and every party leaves
@@ -28,11 +32,11 @@ this one.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
-from ..errors import ConfigurationError, WorkerAborted
+from ..errors import CommunicationError, ConfigurationError, WorkerAborted
 
-__all__ = ["AbortableBarrier"]
+__all__ = ["AbortableBarrier", "departure_error"]
 
 #: ``(error, result)`` of one cohort's closing; exactly one side is set.
 Outcome = tuple[BaseException | None, Any]
@@ -50,6 +54,17 @@ def close_cohort(action: Callable[[], Any] | None, generation: int) -> Outcome:
         return None, action()
     except BaseException as exc:  # noqa: BLE001 - re-raised by every party
         return exc, None
+
+
+def departure_error(
+    party: int | None, departed: Iterable[int]
+) -> CommunicationError:
+    """``party`` waits for a collective that returned ranks cannot join."""
+    gone = ", ".join(f"rank {r}" for r in sorted(departed))
+    return CommunicationError(
+        f"rank {party} waits at a collective that can never complete: "
+        f"{gone} already returned (desynchronised SPMD program)"
+    )
 
 
 def cohort_result(outcome: Outcome) -> Any:
@@ -73,6 +88,7 @@ class AbortableBarrier:
         self._parked: list[Any] = []
         self._generation = 0
         self._aborted = False
+        self._departed: list[int] = []
         self._outcome: Outcome = (None, None)
 
     @property
@@ -92,26 +108,50 @@ class AbortableBarrier:
         """
         with self._lock:
             self._aborted = True
-            parked, self._parked = self._parked, []
+            self._release_parked()
+
+    def depart(self, party: int) -> None:
+        """``party`` returned from the program and leaves for good.
+
+        No cohort can fill without it, so every party parked now, and
+        every later arrival, raises :func:`departure_error`.
+        """
+        with self._lock:
+            self._departed.append(party)
+            self._release_parked()
+
+    def _release_parked(self) -> None:
+        """Wake the open generation's parties without closing it (lock
+        held): each sees the generation unmoved and raises."""
+        parked, self._parked = self._parked, []
         for waiter in parked:
             waiter.release()
+
+    def _broken(self, party: int | None) -> Exception:
+        if self._aborted:
+            return WorkerAborted("barrier aborted")
+        return departure_error(party, self._departed)
 
     def wait(
         self,
         timeout: float | None = None,
         action: Callable[[], Any] | None = None,
+        party: int | None = None,
     ) -> Any:
         """Block until all parties arrive; the last arrival closes the cohort.
 
         The last party to arrive calls ``action()`` exactly once, while every
         other party is parked, and every party returns its result (or
         raises the exception it raised). Without an action every party
-        returns the generation index.
+        returns the generation index. ``party`` is the waiting rank, named
+        in a departure error.
 
         Raises
         ------
         WorkerAborted
             If the barrier was aborted before or while waiting.
+        CommunicationError
+            If a party departed before or while waiting.
         TimeoutError
             If ``timeout`` elapses (used only by tests; production waits are
             unbounded because collectives are guaranteed to rendezvous). The
@@ -119,8 +159,8 @@ class AbortableBarrier:
             parties actually waiting.
         """
         with self._lock:
-            if self._aborted:
-                raise WorkerAborted("barrier aborted")
+            if self._aborted or self._departed:
+                raise self._broken(party)
             gen = self._generation
             last = len(self._parked) + 1 == self._n
             if last:
@@ -145,10 +185,11 @@ class AbortableBarrier:
                         f"barrier wait timed out after {timeout}s "
                         f"({len(self._parked) + 1}/{self._n} arrived)"
                     )
-            # Claimed by a closing cohort (or an abort) as the timer ran
-            # out: its release is already on the way.
+            # Claimed by a closing cohort (or an abort or departure) as the
+            # timer ran out: its release is already on the way.
             waiter.acquire()
         if self._generation == gen:
-            # Woken by abort, not by a closing: the generation never moved.
-            raise WorkerAborted("barrier aborted")
+            # Woken by an abort or a departure, not by a closing: the
+            # generation never moved.
+            raise self._broken(party)
         return cohort_result(self._outcome)

@@ -256,7 +256,9 @@ class SharedRendezvous:
 
     Works for any vehicle whose ranks share the interpreter (the
     ``threaded`` and ``serial`` backends); the barrier is injectable so
-    cooperative schedulers can supply their own.
+    cooperative schedulers can supply their own. The launch loop tells the
+    barrier when a rank returns (``barrier.depart``), so a rank waiting
+    for a returned one fails at once.
     """
 
     def __init__(self, n_ranks: int, barrier=None):
@@ -272,7 +274,8 @@ class SharedRendezvous:
         return self.barrier.wait(
             action=lambda: close(
                 list(self._ops), list(self._slots), max(self._clocks)
-            )
+            ),
+            party=rank,
         )
 
     def abort(self) -> None:
@@ -307,9 +310,6 @@ class CollectiveEngine:
         if verifier is None and os.environ.get("REPRO_VERIFY") == "lockstep":
             verifier = LockstepVerifier(n_ranks)
         self.verifier = verifier
-        #: Barrier of the shared rendezvous (None for message-passing ones);
-        #: kept as an attribute for the runtime's abort path and tests.
-        self.barrier = getattr(self.rendezvous, "barrier", None)
         # Schedules are pure functions of (op, shape arguments) and every
         # rank of a collective lowers the same one, so memoise them: the
         # first rank builds, the rest (and later identical calls) reuse.

@@ -6,21 +6,25 @@ names: :meth:`broadcast`, :meth:`combine`, :meth:`prefix_sum`,
 :meth:`gather`, :meth:`global_concat`, :meth:`alltoallv` (the transportation
 primitive) and :meth:`pairwise_exchange`.
 
-Each ``Comm`` is owned by exactly one rank (one thread); all cross-rank
-coordination happens inside the shared :class:`CollectiveEngine` and the
-:class:`MessageBoard`.
+Every exchange between ranks is one of these collectives, as in the paper:
+there is no point-to-point ``send``/``recv``. A disjoint pair swap is a
+:meth:`pairwise_exchange` round, and a scatter of variable-size messages
+is an :meth:`alltoallv`. Each ``Comm`` is owned by exactly one rank (one
+thread); all cross-rank coordination happens inside the shared
+:class:`CollectiveEngine`.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Any, Callable, Hashable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .channels import MessageBoard
 from .clock import Category, LogicalClock
-from .collectives import CollectiveEngine, payload_words
+# ``payload_words`` stays importable from here: perfbench's layer tracer
+# patches it on this module as well as on ``collectives``.
+from .collectives import CollectiveEngine, payload_words  # noqa: F401
 from .cost_model import CostModel
 
 __all__ = ["Comm"]
@@ -34,14 +38,12 @@ class Comm:
         rank: int,
         size: int,
         engine: CollectiveEngine,
-        board: MessageBoard,
         clock: LogicalClock,
         model: CostModel,
     ):
         self.rank = rank
         self.size = size
         self._engine = engine
-        self._board = board
         self._clock = clock
         self._model = model
 
@@ -115,27 +117,6 @@ class Comm:
     def exscan_sum(self, value: int | float) -> int | float:
         """Exclusive prefix sum: global offset of this rank's block."""
         return self.prefix_sum(value, operator.add, inclusive=False, initial=0)
-
-    # -------------------------------------------------------- point-to-point
-
-    def send(self, dest: int, payload: Any, tag: Hashable = 0) -> None:
-        """Asynchronous-ish send: sender pays ``tau + mu*m`` immediately.
-
-        The message carries the sender's post-send clock; the receiver's
-        clock advances to at least that (message cannot be read before it was
-        sent). Payloads are delivered by reference — do not mutate after
-        sending.
-        """
-        m = payload_words(payload)
-        self._clock.charge(Category.COMM, self._model.msg_time(m))
-        self._board.send(self.rank, dest, tag, (payload, self._clock.now))
-
-    def recv(self, source: int, tag: Hashable = 0, timeout: float | None = 60.0) -> Any:
-        payload, sent_at = self._board.mailbox(self.rank).recv(
-            source, tag, timeout=timeout
-        )
-        self._clock.sync_to(sent_at, Category.COMM)
-        return payload
 
     # ------------------------------------------------------------ accounting
 

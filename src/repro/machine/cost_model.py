@@ -160,10 +160,6 @@ class CostModel:
 
     # -- communication cost formulas shared by several collectives ---------
 
-    def msg_time(self, words: float) -> float:
-        """Time for one point-to-point message of ``words`` 8-byte words."""
-        return self.tau + self.mu * max(0.0, words)
-
     def link(self, inter: bool = False) -> tuple[float, float]:
         """``(tau, mu)`` of one link class.
 

@@ -7,8 +7,9 @@ cost model, topology, default backend), counts launches, and assembles a
 validation lives, once — before handing it to an **execution backend**
 (:mod:`repro.machine.backends`): ``serial`` (deterministic cooperative
 round-robin — CI and debugging), ``threaded`` (one preemptive OS thread
-per rank — the historical simulator) or ``process`` (one forked process
-per rank with shared-memory shards — true multi-core past the GIL). Every
+per rank — the historical simulator), ``process`` (one forked process
+per rank with shared-memory shards — true multi-core past the GIL) or
+``pool`` (persistent forked workers reused across launches). Every
 backend drives the same :class:`ProcContext`/collectives contract and
 charges the same simulated costs, so values, RNG streams and simulated
 times are bit-identical across backends; only wall-clock differs.
@@ -26,9 +27,11 @@ Two per-launch strategy axes ride the same plumbing:
   serving layer). Values are topology-independent; simulated time is not.
 
 Failure semantics (all backends): the first rank to raise aborts the
-rendezvous and all mailboxes; sibling ranks unwind with ``WorkerAborted``;
-the caller receives a :class:`~repro.errors.WorkerError` chaining the
-original exception. No deadlocks, no leaked threads or processes.
+rendezvous; sibling ranks unwind with ``WorkerAborted``; the caller
+receives a :class:`~repro.errors.WorkerError` chaining the original
+exception. A rank that waits at a collective a returned rank can never
+join raises :class:`~repro.errors.CommunicationError` naming it. No
+deadlocks, no leaked threads or processes.
 """
 
 from __future__ import annotations

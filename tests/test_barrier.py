@@ -6,8 +6,8 @@ import time
 
 import pytest
 
-from repro.errors import ConfigurationError, WorkerAborted
-from repro.machine.barrier import AbortableBarrier
+from repro.errors import CommunicationError, ConfigurationError, WorkerAborted
+from repro.machine.barrier import AbortableBarrier, departure_error
 
 
 def run_threads(n, target):
@@ -188,3 +188,94 @@ class TestAbort:
         assert not b.aborted
         b.abort()
         assert b.aborted
+
+
+class TestDeparture:
+    """A party that departs (its rank returned) can fill no later cohort."""
+
+    def test_depart_wakes_parked_parties_naming_the_departed_rank(self):
+        b = AbortableBarrier(3)
+        errors = {}
+
+        def waiter(i):
+            try:
+                b.wait(timeout=10, party=i)
+            except CommunicationError as exc:
+                errors[i] = str(exc)
+
+        threads = [threading.Thread(target=waiter, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        wait_until_parked(b, 2)
+        b.depart(2)
+        for t in threads:
+            t.join(timeout=5)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(errors) == [0, 1]
+        for i, msg in errors.items():
+            assert msg.startswith(f"rank {i} waits")
+            assert "rank 2 already returned" in msg
+
+    def test_departure_is_sticky_for_later_arrivals(self):
+        b = AbortableBarrier(2)
+        b.depart(1)
+        for _ in range(2):
+            t0 = time.monotonic()
+            with pytest.raises(CommunicationError, match="rank 1 already"):
+                b.wait(timeout=5, party=0)
+            assert time.monotonic() - t0 < 1.0, "must not wait for the timeout"
+
+    def test_departure_does_not_run_the_action(self):
+        b = AbortableBarrier(2)
+        ran = []
+        caught = []
+
+        def waiter(i):
+            try:
+                b.wait(timeout=10, action=lambda: ran.append(i), party=i)
+            except CommunicationError:
+                caught.append(i)
+
+        t = threading.Thread(target=waiter, args=(0,))
+        t.start()
+        wait_until_parked(b, 1)
+        b.depart(1)
+        t.join(timeout=5)
+        assert caught == [0]
+        assert ran == []
+
+    def test_abort_outranks_departure(self):
+        # A rank that raised is the root cause; a rank that returned
+        # meanwhile must not mask it with a desync report.
+        b = AbortableBarrier(3)
+        b.depart(2)
+        b.abort()
+        with pytest.raises(WorkerAborted):
+            b.wait(timeout=1, party=0)
+
+    def test_departures_after_the_closing_cohort_break_nobody(self):
+        # The end of every SPMD program: the last collective closes, then
+        # each rank returns and departs while its siblings may still be on
+        # their way out of the barrier with the outcome.
+        n, rounds = 4, 200
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(rounds):
+                b = AbortableBarrier(n)
+                got = [None] * n
+
+                def rank(i, b=b, got=got):
+                    got[i] = b.wait(timeout=10, action=lambda: "closed",
+                                    party=i)
+                    b.depart(i)
+
+                run_threads(n, rank)
+                assert got == ["closed"] * n
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_departure_error_names_every_departed_rank_in_order(self):
+        msg = str(departure_error(0, [3, 1]))
+        assert msg.startswith("rank 0 waits")
+        assert "rank 1, rank 3 already returned" in msg

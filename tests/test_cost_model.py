@@ -37,15 +37,6 @@ class TestCostModel:
         assert cm5() == CM5
         assert CM5.tau > 0 and CM5.mu > 0
 
-    def test_msg_time_linear_in_words(self):
-        m = CostModel(tau=1e-4, mu=1e-6)
-        assert m.msg_time(0) == pytest.approx(1e-4)
-        assert m.msg_time(100) == pytest.approx(1e-4 + 100e-6)
-
-    def test_msg_time_clamps_negative_words(self):
-        m = CostModel(tau=1e-4, mu=1e-6)
-        assert m.msg_time(-5) == pytest.approx(1e-4)
-
     @pytest.mark.parametrize(
         "p,expect", [(1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (8, 3), (128, 7)]
     )
@@ -86,6 +77,3 @@ class TestZeroModel:
         assert z.tau == 0 and z.mu == 0
         for f in dataclasses.fields(ComputeCosts):
             assert getattr(z.compute, f.name) == 0.0
-
-    def test_msg_time_zero(self):
-        assert zero_cost_model().msg_time(12345) == 0.0

@@ -2,10 +2,9 @@
 
 import threading
 
-import numpy as np
 import pytest
 
-from repro.errors import CommunicationError, ConfigurationError, WorkerError
+from repro.errors import ConfigurationError, WorkerError
 from repro.machine import SPMDRuntime, run_spmd
 from repro.machine.trace import TraceSummary
 
@@ -107,40 +106,6 @@ class TestFailures:
                 run_spmd(prog, 8)
         # Daemon workers must all have unwound.
         assert threading.active_count() <= before + 1
-
-    def test_unmatched_send_detected(self):
-        def prog(ctx):
-            if ctx.rank == 0:
-                ctx.comm.send(1, np.arange(3), tag="orphan")
-
-        # In-process backends raise the drain failure directly; forked
-        # ranks report it from the worker, wrapped in WorkerError.
-        with pytest.raises(
-            (CommunicationError, WorkerError), match="undelivered"
-        ):
-            run_spmd(prog, 2)
-
-    def test_send_recv_roundtrip(self):
-        def prog(ctx):
-            if ctx.rank == 0:
-                ctx.comm.send(1, np.arange(4), tag=9)
-                return None
-            return ctx.comm.recv(0, tag=9).tolist()
-
-        res = run_spmd(prog, 2)
-        assert res.values[1] == [0, 1, 2, 3]
-
-    def test_recv_clock_respects_send_time(self):
-        def prog(ctx):
-            if ctx.rank == 0:
-                ctx.charge_compute(5.0)
-                ctx.comm.send(1, 1.25)
-                return ctx.clock.now
-            ctx.comm.recv(0)
-            return ctx.clock.now
-
-        res = run_spmd(prog, 2)
-        assert res.values[1] >= 5.0  # receiver waited for the sender
 
 
 class TestBreakdowns:

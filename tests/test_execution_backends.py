@@ -1,7 +1,9 @@
 """The execution-backend layer itself: registry + selection plumbing,
-the serial scheduler's cooperative guarantees, and the process backend's
-transport mechanics."""
+the serial scheduler's cooperative guarantees, the process backend's
+transport mechanics, and desync diagnosis on every backend."""
 
+import queue
+import re
 import threading
 import time
 
@@ -9,18 +11,49 @@ import numpy as np
 import pytest
 
 import repro
-from repro.errors import CommunicationError, ConfigurationError, WorkerError
+from repro.errors import (
+    CommunicationError,
+    ConfigurationError,
+    WorkerAborted,
+    WorkerError,
+)
 from repro.machine import (
+    SPMDRuntime,
     available_backends,
     get_backend,
     resolve_backend,
     run_spmd,
 )
 from repro.machine.backends import BACKEND_ENV_VAR, BACKENDS, ExecutionBackend
+from repro.machine.backends._shm import RankTransport
 from repro.machine.backends.process import (
     UnpicklableWorkerFailure,
     _SharedArray,
 )
+
+
+def _ring_shift_and_alltoall(ctx):
+    """Each rank passes a value to its right neighbour (an alltoallv with
+    one live slot), then all ranks swap rank-filled arrays."""
+    sends = [None] * ctx.size
+    sends[(ctx.rank + 1) % ctx.size] = ctx.rank * 10.0
+    got = ctx.comm.alltoallv(sends)[(ctx.rank - 1) % ctx.size]
+    received = ctx.comm.alltoallv(
+        [np.full(2, ctx.rank) for _ in range(ctx.size)]
+    )
+    return got, sum(int(r[0]) for r in received)
+
+
+def _early_return(ctx):
+    if ctx.rank == 2:
+        return  # never reaches the barrier the others wait at
+    ctx.comm.barrier()
+
+
+def _extra_collective(ctx):
+    ctx.comm.barrier()
+    if ctx.rank == 0:
+        ctx.comm.barrier()  # a collective no other rank issues
 
 
 class TestRegistry:
@@ -142,40 +175,20 @@ class TestSerialScheduler:
         assert len(set(logs)) == 1, "serial interleaving must be reproducible"
 
     def test_deadlock_detected_instead_of_hanging(self):
-        def prog(ctx):
-            if ctx.rank == 0:
-                ctx.comm.recv(1, tag="never-sent")
-            else:
-                ctx.comm.barrier()
-
         t0 = time.perf_counter()
         with pytest.raises(WorkerError) as ei:
-            run_spmd(prog, 3, backend="serial")
+            run_spmd(_extra_collective, 3, backend="serial")
         assert time.perf_counter() - t0 < 5.0, "deadlock must be detected fast"
         assert isinstance(ei.value.cause, CommunicationError)
-        assert "deadlock" in str(ei.value.cause)
-        assert "rank 0 in recv" in str(ei.value.cause)
+        assert "rank 0 waits" in str(ei.value.cause)
 
     def test_early_return_desync_is_detected(self):
-        def prog(ctx):
-            if ctx.rank == 2:
-                return  # never reaches the barrier the others wait at
-            ctx.comm.barrier()
-
         with pytest.raises(WorkerError) as ei:
-            run_spmd(prog, 3, backend="serial")
+            run_spmd(_early_return, 3, backend="serial")
         assert isinstance(ei.value.cause, CommunicationError)
 
-    def test_point_to_point_and_alltoall(self):
-        def prog(ctx):
-            ctx.comm.send((ctx.rank + 1) % ctx.size, ctx.rank * 10.0)
-            got = ctx.comm.recv((ctx.rank - 1) % ctx.size)
-            received = ctx.comm.alltoallv(
-                [np.full(2, ctx.rank) for _ in range(ctx.size)]
-            )
-            return got, sum(int(r[0]) for r in received)
-
-        res = run_spmd(prog, 4, backend="serial")
+    def test_ring_shift_and_alltoall(self):
+        res = run_spmd(_ring_shift_and_alltoall, 4, backend="serial")
         assert [v[0] for v in res.values] == [30.0, 0.0, 10.0, 20.0]
         assert [v[1] for v in res.values] == [6, 6, 6, 6]
 
@@ -193,16 +206,8 @@ class TestProcessTransport:
         assert shared.as_array().size == 0
         assert shared.as_array().dtype == np.int64
 
-    def test_point_to_point_and_alltoall_across_processes(self):
-        def prog(ctx):
-            ctx.comm.send((ctx.rank + 1) % ctx.size, ctx.rank * 10.0)
-            got = ctx.comm.recv((ctx.rank - 1) % ctx.size)
-            received = ctx.comm.alltoallv(
-                [np.full(2, ctx.rank) for _ in range(ctx.size)]
-            )
-            return got, sum(int(r[0]) for r in received)
-
-        res = run_spmd(prog, 4, backend="process")
+    def test_ring_shift_and_alltoall_across_processes(self):
+        res = run_spmd(_ring_shift_and_alltoall, 4, backend="process")
         assert [v[0] for v in res.values] == [30.0, 0.0, 10.0, 20.0]
         assert [v[1] for v in res.values] == [6, 6, 6, 6]
 
@@ -231,13 +236,71 @@ class TestProcessTransport:
         for op in ("broadcast", "combine"):
             assert proc.tracer.count(op) == threaded.tracer.count(op) == 3
 
-    def test_unmatched_send_is_reported(self):
-        def prog(ctx):
-            if ctx.rank == 0:
-                ctx.comm.send(1, "orphan", tag="lost")
-            ctx.comm.barrier()
 
+def _transports(n, timeout=5.0):
+    """``n`` rank transports over in-process inbox queues (one per rank),
+    so the queue protocol runs without forking."""
+    inboxes = [queue.Queue() for _ in range(n)]
+    return [RankTransport(r, n, inboxes, timeout) for r in range(n)]
+
+
+class TestRankTransport:
+    def test_deposit_sent_before_end_is_still_read(self):
+        # Per-producer FIFO: a peer's deposit reaches the inbox before its
+        # end marker, so a finished peer's last collective is not lost.
+        t0, t1 = _transports(2)
+        t1.send_all(("coll", 0, 1, "combine", 7, 2.5))
+        t1.send_all(("end", 1))
+        assert t0.wait_coll(1, 0) == ("combine", 7, 2.5)
+
+    def test_waiting_on_an_ended_peer_raises_naming_it(self):
+        t0, _, t2 = _transports(3)
+        t2.send_all(("end", 2))
+        start = time.perf_counter()
+        with pytest.raises(CommunicationError) as ei:
+            t0.wait_coll(2, 0)
+        assert time.perf_counter() - start < 1.0, "must not wait out the timeout"
+        assert str(ei.value).startswith("rank 0 waits")
+        assert "rank 2 already returned" in str(ei.value)
+
+    def test_peer_abort_outranks_a_desync_report(self):
+        t0, t1 = _transports(2)
+        t1.broadcast_abort()
+        with pytest.raises(WorkerAborted):
+            t0.wait_coll(1, 0)
+
+    def test_unread_deposit_is_reported_at_drain(self):
+        # Rank 1 deposits a collective rank 0 never issues, then ends.
+        t0, t1 = _transports(2)
+        t1.send_all(("coll", 0, 1, "barrier", None, 0.0))
+        t1.send_all(("end", 1))
+        with pytest.raises(CommunicationError, match="1 unread collective"):
+            t0.finish_and_drain()
+
+
+class TestDesyncDiagnosis:
+    """A rank that returned never issues another collective, so a rank
+    still waiting at one fails at once, naming the returned rank(s),
+    instead of hanging until ``join_timeout``."""
+
+    @pytest.mark.parametrize("backend", ["serial", "threaded", "process",
+                                         "pool"])
+    @pytest.mark.parametrize(
+        "prog, returned",
+        [(_early_return, {2}), (_extra_collective, {1, 2})],
+        ids=["early-return", "extra-collective"],
+    )
+    def test_waiting_rank_fails_fast_naming_the_returned_rank(
+        self, backend, prog, returned
+    ):
+        t0 = time.perf_counter()
         with pytest.raises(WorkerError) as ei:
-            run_spmd(prog, 2, backend="process")
-        assert isinstance(ei.value.cause, CommunicationError)
-        assert "undelivered" in str(ei.value.cause)
+            SPMDRuntime(3, join_timeout=5, backend=backend).run(prog)
+        elapsed = time.perf_counter() - t0
+        cause = ei.value.cause
+        assert isinstance(cause, CommunicationError)
+        named = re.search(r"complete: (.*) already returned", str(cause))
+        assert named, str(cause)
+        ranks = {int(r) for r in re.findall(r"rank (\d+)", named.group(1))}
+        assert ranks and ranks <= returned, str(cause)
+        assert elapsed < 1.0, f"desync took {elapsed:.2f}s to surface"

@@ -16,7 +16,8 @@ import pytest
 
 import repro
 from repro.errors import CommunicationError, WorkerError
-from repro.machine.backends import BACKENDS
+from repro.machine import run_spmd
+from repro.machine.backends import BACKENDS, pool as pool_module
 
 P = 4
 
@@ -40,6 +41,10 @@ def _fresh_pool_machine(join_timeout=None) -> repro.Machine:
 def _sum_shard(ctx, shard):
     total = ctx.comm.allreduce_sum(float(np.sum(shard)))
     return total
+
+
+def _rank_total(ctx):
+    return ctx.comm.allreduce_sum(ctx.rank)
 
 
 def _kill_rank_one(ctx, shard):
@@ -204,3 +209,40 @@ class TestLifecycle:
         data = machine.generate(500, seed=7)
         data.select(3)
         assert machine.fork_count == 0
+
+    def test_live_workers_capped_by_retiring_lru_generations(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(pool_module, "MAX_LIVE_WORKERS", 6)
+        BACKENDS["pool"].shutdown()
+        backend = pool_module.PoolBackend()
+        try:
+            live = []
+            for p in (2, 3, 4):
+                run_spmd(_rank_total, p, backend=backend)
+                live.append(len(_pool_workers()))
+            # p=4 would make 9: both older generations retire, LRU first.
+            assert live == [2, 5, 4]
+            forks = backend.fork_count
+            run_spmd(_rank_total, 2, backend=backend)
+            assert backend.fork_count == forks + 1, "p=2 was retired"
+            assert len(_pool_workers()) == 6
+        finally:
+            backend.shutdown()
+
+    def test_launch_above_the_cap_retires_every_other_generation(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(pool_module, "MAX_LIVE_WORKERS", 3)
+        BACKENDS["pool"].shutdown()
+        backend = pool_module.PoolBackend()
+        try:
+            assert run_spmd(_rank_total, 2, backend=backend).values == [1, 1]
+            assert len(_pool_workers()) == 2
+            res = run_spmd(_rank_total, 4, backend=backend)
+            assert res.values == [6] * 4
+            # p=4 alone passes the cap: it still runs, on its own.
+            assert len(_pool_workers()) == 4
+            assert backend.fork_count == 2
+        finally:
+            backend.shutdown()
