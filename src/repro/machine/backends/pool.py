@@ -133,8 +133,7 @@ def _pool_worker_main(rank, p, pins, inboxes, job_q, result_q):
 class _RankPool:
     """One generation-managed set of ``p`` persistent workers."""
 
-    def __init__(self, backend: "PoolBackend", p: int):
-        self.backend = backend
+    def __init__(self, p: int):
         self.p = p
         self.procs = None
         self.job_qs: list = []
@@ -361,7 +360,7 @@ class PoolBackend(ExecutionBackend):
         t0 = time.perf_counter()
         pool = self._pools.pop(p, None)
         if pool is None:
-            pool = _RankPool(self, p)
+            pool = _RankPool(p)
         self._pools[p] = pool  # most recently used last
         if not pool.alive or not needed <= pool.forked_tokens:
             self._make_room(p, keep=pool)

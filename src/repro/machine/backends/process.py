@@ -41,7 +41,6 @@ from typing import Any
 from ...errors import ConfigurationError, WorkerAborted
 from ._shm import (
     RankTransport,
-    SharedArray,
     UnpicklableWorkerFailure,
     build_worker_context,
     picklable_failure,
@@ -57,15 +56,6 @@ from .base import (
 )
 
 __all__ = ["ProcessBackend", "UnpicklableWorkerFailure"]
-
-# Backwards-compatible aliases (tests exercise the transport mechanics
-# through the historical underscore names).
-_SharedArray = SharedArray
-_RankTransport = RankTransport
-_share_rank_args = share_rank_args
-_resolve_shared = resolve_shared
-_picklable_failure = picklable_failure
-
 
 def _child_main(launch: Launch, rank: int, shared_rank_args, inboxes,
                 result_q) -> None:

@@ -40,41 +40,38 @@ class _TokenScheduler:
 
     Only the token holder executes; a rank blocked at the barrier calls
     :meth:`yield_turn`, which passes the token to the next live rank and
-    parks until it comes back.
+    parks until it comes back. Each rank parks on a lock of its own, held
+    while the rank waits for the token, so a pass wakes exactly the next
+    holder. Only the token holder touches ``_alive``.
     """
 
     def __init__(self, n: int):
         self._n = n
-        self._cond = threading.Condition()
-        self._turn = 0
         self._alive = [True] * n
+        self._locks = [threading.Lock() for _ in range(n)]
+        for lock in self._locks[1:]:
+            lock.acquire()  # rank 0 holds the token first
 
     def register(self, rank: int) -> None:
         """Park the calling rank thread until its first turn."""
-        with self._cond:
-            while self._turn != rank:
-                self._cond.wait()
+        self._locks[rank].acquire()
 
     def yield_turn(self, rank: int) -> None:
         """Hand the token on; return when it comes back to ``rank``."""
-        with self._cond:
-            self._pass_token(rank)
-            while self._turn != rank:
-                self._cond.wait()
+        self._pass_token(rank)
+        self._locks[rank].acquire()
 
     def finish(self, rank: int) -> None:
         """Mark ``rank`` done (returned or raised) and pass the token on."""
-        with self._cond:
-            self._alive[rank] = False
-            self._pass_token(rank)
+        self._alive[rank] = False
+        self._pass_token(rank)
 
     def _pass_token(self, rank: int) -> None:
-        """Move the token to the next live rank after ``rank`` (lock held)."""
+        """Wake the next live rank after ``rank`` (``rank`` holds the token)."""
         for step in range(1, self._n + 1):
             nxt = (rank + step) % self._n
             if self._alive[nxt]:
-                self._turn = nxt
-                self._cond.notify_all()
+                self._locks[nxt].release()
                 return
         # No live rank left: nothing to schedule (the run is over).
 

@@ -2,9 +2,19 @@
 
 This is the historical runtime vehicle (coarse-grained machines have few,
 powerful processors — 2..128 in the paper — so threads are a faithful and
-cheap model); each rank blocks in a real barrier at every collective, and
-heavy local work is vectorised NumPy, which releases the GIL for large
-arrays, so ranks genuinely overlap where it matters.
+cheap model); each rank blocks in a real barrier at every collective.
+
+Placement: every collective is a rendezvous of all ``p`` ranks, and each
+one hands the GIL from rank thread to rank thread. A handoff between
+threads on different CPUs costs several times one on the same CPU, and
+only large NumPy kernels (which release the GIL) gain from a second CPU.
+So the calling thread decides once per launch: when the platform has
+``os.sched_setaffinity``, the caller may run on at least 2 CPUs, and the
+largest rank's NumPy arguments total at most :data:`CORE_LOCAL_MAX_BYTES`,
+each rank thread first pins itself to the lowest CPU the caller may run
+on (core-local). Otherwise the OS spreads the threads. Placement is best
+effort (a refused pin leaves the thread where it is), never changes the
+caller's own affinity, and changes no value, clock or trace event.
 
 Its launch loop is the only thread-per-rank loop: the ``serial`` backend
 is this loop with a run token handed between the threads
@@ -21,9 +31,12 @@ timeout and asserted dead).
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from typing import Any, Callable
+
+import numpy as np
 
 from ...errors import WorkerAborted, WorkerError
 from ..barrier import AbortableBarrier
@@ -39,7 +52,13 @@ from .base import (
     run_single_rank,
 )
 
-__all__ = ["ThreadedBackend"]
+__all__ = ["CORE_LOCAL_MAX_BYTES", "ThreadedBackend"]
+
+#: A launch runs core-local when its largest rank's NumPy arguments total
+#: at most this many bytes: the largest power of two at which every shape
+#: of a p/n sweep ran faster with its rank threads on one CPU (EXPERIMENTS.md,
+#: "Repo benchmark: core-local rank threads").
+CORE_LOCAL_MAX_BYTES = 2 << 20
 
 #: What a rank thread runs first and last (given its rank).
 RankHook = Callable[[int], None]
@@ -47,6 +66,39 @@ RankHook = Callable[[int], None]
 
 def _no_hook(rank: int) -> None:
     """OS-scheduled threads need nothing before or after their program."""
+
+
+def _rank_bytes(launch: Launch) -> int:
+    """The largest rank's NumPy argument bytes (0 without ``rank_args``)."""
+    if launch.rank_args is None:
+        return 0
+    return max(
+        (sum(a.nbytes for a in row if isinstance(a, np.ndarray))
+         for row in launch.rank_args),
+        default=0,
+    )
+
+
+def _placement(launch: Launch) -> RankHook:
+    """What each rank thread of ``launch`` runs first to place itself.
+
+    Decided once, on the calling thread, before any rank thread starts.
+    """
+    pin = getattr(os, "sched_setaffinity", None)
+    if pin is None or _rank_bytes(launch) > CORE_LOCAL_MAX_BYTES:
+        return _no_hook
+    allowed = os.sched_getaffinity(0)
+    if len(allowed) < 2:
+        return _no_hook
+    cpu = {min(allowed)}
+
+    def core_local(rank: int) -> None:
+        try:
+            pin(0, cpu)
+        except OSError:
+            pass  # best effort: the thread stays where the OS put it
+
+    return core_local
 
 
 class ThreadedBackend(ExecutionBackend):
@@ -63,6 +115,7 @@ class ThreadedBackend(ExecutionBackend):
         p = launch.n_procs
         if p == 1:
             return run_single_rank(launch, self.name)
+        place = _placement(launch)
         barrier, start, finish = self._schedule(p)
         engine = CollectiveEngine(
             p, launch.cost_model, launch.tracer,
@@ -74,6 +127,7 @@ class ThreadedBackend(ExecutionBackend):
         errors: list[BaseException | None] = [None] * p
 
         def worker(rank: int) -> None:
+            place(rank)
             start(rank)
             ctx = ProcContext(
                 rank=rank,

@@ -1,9 +1,13 @@
 """The execution-backend layer itself: registry + selection plumbing,
-the serial scheduler's cooperative guarantees, the process backend's
-transport mechanics, and desync diagnosis on every backend."""
+the serial scheduler's cooperative guarantees, rank-thread placement,
+the process backend's transport mechanics, and desync diagnosis on every
+backend."""
 
+import contextlib
+import os
 import queue
 import re
+import sys
 import threading
 import time
 
@@ -24,12 +28,14 @@ from repro.machine import (
     resolve_backend,
     run_spmd,
 )
-from repro.machine.backends import BACKEND_ENV_VAR, BACKENDS, ExecutionBackend
-from repro.machine.backends._shm import RankTransport
-from repro.machine.backends.process import (
-    UnpicklableWorkerFailure,
-    _SharedArray,
+from repro.machine.backends import (
+    BACKEND_ENV_VAR,
+    BACKENDS,
+    ExecutionBackend,
+    threaded,
 )
+from repro.machine.backends._shm import RankTransport, SharedArray
+from repro.machine.backends.process import UnpicklableWorkerFailure
 
 
 def _ring_shift_and_alltoall(ctx):
@@ -140,29 +146,63 @@ class TestSelectionPlumbing:
         assert multi.backend == "serial"
 
 
+#: (ranks, collectives per rank, seconds each rank holds the token per
+#: collective, GIL switch interval or None for the default).
+SERIAL_CASES = pytest.mark.parametrize(
+    "p, rounds, hold, switch",
+    [(4, 3, 0.002, None), (16, 300, 0.0, 1e-5)],
+    ids=["p4", "p16-300-collectives"],
+)
+
+
+@contextlib.contextmanager
+def _bounded(switch, bound=10.0):
+    """Run the block under GIL switch interval ``switch`` (if given) and
+    check it finished within ``bound`` seconds."""
+    old = sys.getswitchinterval()
+    if switch is not None:
+        sys.setswitchinterval(switch)
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(old)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < bound, f"took {elapsed:.2f}s"
+
+
+def _round_robin(p, rounds):
+    """The serial token's order: round ``i`` starts at the rank that
+    closed round ``i - 1`` (it keeps the token) and goes once around."""
+    return [((j - i) % p, i) for i in range(rounds) for j in range(p)]
+
+
 class TestSerialScheduler:
-    def test_exactly_one_rank_runs_at_a_time(self):
+    @SERIAL_CASES
+    def test_exactly_one_rank_runs_at_a_time(self, p, rounds, hold, switch):
         lock = threading.Lock()
         state = {"active": 0, "max_active": 0}
 
         def prog(ctx):
-            for _ in range(3):
+            for _ in range(rounds):
                 with lock:
                     state["active"] += 1
                     state["max_active"] = max(
                         state["max_active"], state["active"]
                     )
-                time.sleep(0.002)  # sleeping does NOT yield the token
+                time.sleep(hold)  # sleeping does NOT yield the token
                 with lock:
                     state["active"] -= 1
                 ctx.comm.barrier()
 
-        run_spmd(prog, 4, backend="serial")
+        with _bounded(switch):
+            run_spmd(prog, p, backend="serial")
         assert state["max_active"] == 1
 
-    def test_interleaving_is_deterministic(self):
+    @SERIAL_CASES
+    def test_interleaving_is_deterministic(self, p, rounds, hold, switch):
         def prog(ctx, log):
-            for i in range(3):
+            for i in range(rounds):
                 log.append((ctx.rank, i))
                 ctx.comm.barrier()
             return None
@@ -170,9 +210,11 @@ class TestSerialScheduler:
         logs = []
         for _ in range(3):
             log = []
-            run_spmd(prog, 4, rank_args=[(log,)] * 4, backend="serial")
+            with _bounded(switch):
+                run_spmd(prog, p, rank_args=[(log,)] * p, backend="serial")
             logs.append(tuple(log))
         assert len(set(logs)) == 1, "serial interleaving must be reproducible"
+        assert list(logs[0]) == _round_robin(p, rounds)
 
     def test_deadlock_detected_instead_of_hanging(self):
         t0 = time.perf_counter()
@@ -193,16 +235,97 @@ class TestSerialScheduler:
         assert [v[1] for v in res.values] == [6, 6, 6, 6]
 
 
+def _affinity(ctx, shard):
+    """The rank thread's own CPU mask, read after one collective."""
+    ctx.comm.barrier()
+    return frozenset(os.sched_getaffinity(0))
+
+
+def _median_launch():
+    machine = repro.Machine(n_procs=8, backend="threaded")
+    return machine.generate(20_000, distribution="random", seed=5).median()
+
+
+def _same_launch(a, b):
+    assert a.result.values == b.result.values
+    assert a.result.clocks == b.result.clocks
+    assert a.result.breakdowns == b.result.breakdowns
+
+
+def _events(report):
+    return sorted(report.result.tracer.events(), key=lambda e: (e.rank, e.seq))
+
+
+class TestPlacement:
+    """A launch whose largest rank holds at most ``CORE_LOCAL_MAX_BYTES``
+    of NumPy arguments runs every rank thread on the lowest CPU the
+    caller may run on; a larger one is left to the OS. Placement is best
+    effort and never changes a value, clock or trace event."""
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity")
+        or len(os.sched_getaffinity(0)) < 2,
+        reason="needs an affinity API and at least 2 allowed CPUs",
+    )
+    @pytest.mark.parametrize("backend", ["serial", "threaded"])
+    def test_small_launch_is_core_local_large_is_spread(self, backend):
+        caller = os.sched_getaffinity(0)
+        small = run_spmd(_affinity, 8, rank_args=[(np.zeros(64),)] * 8,
+                         backend=backend)
+        over = np.zeros(threaded.CORE_LOCAL_MAX_BYTES + 1, dtype=np.uint8)
+        large = run_spmd(_affinity, 8,
+                         rank_args=[(over,)] + [(np.zeros(64),)] * 7,
+                         backend=backend)
+        assert len(set(small.values)) == 1
+        cpus = small.values[0]
+        assert len(cpus) == 1 and cpus <= caller
+        assert set(large.values) == {frozenset(caller)}
+        assert os.sched_getaffinity(0) == caller
+
+    @pytest.mark.parametrize("patch", ["raises", "missing"])
+    def test_refused_or_missing_affinity_changes_nothing(
+        self, monkeypatch, patch
+    ):
+        expected = _median_launch()
+        if patch == "raises":
+            def refuse(pid, cpus):
+                raise OSError("affinity refused")
+
+            monkeypatch.setattr(os, "sched_setaffinity", refuse)
+        else:
+            monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+        got = _median_launch()
+        assert got.value == expected.value
+        _same_launch(got, expected)
+
+    @pytest.mark.parametrize("backend", ["serial", "threaded"])
+    def test_placement_never_changes_results(self, monkeypatch, backend):
+        def run(limit):
+            monkeypatch.setattr(threaded, "CORE_LOCAL_MAX_BYTES", limit)
+            machine = repro.Machine(n_procs=8, backend=backend, trace=True)
+            data = machine.generate(20_000, distribution="random", seed=7)
+            return (data.select(1234, seed=7),
+                    data.multi_select([1, 5_000, 10_000, 20_000], seed=7))
+
+        spread, local = run(-1), run(1 << 62)
+        for a, b in zip(spread, local):
+            _same_launch(a, b)
+            events = _events(a)
+            assert events and events == _events(b)
+        assert spread[0].value == local[0].value
+        assert spread[1].values == local[1].values
+
+
 class TestProcessTransport:
     def test_shared_array_roundtrip(self):
         arr = np.arange(17.0) * 1.5
-        shared = _SharedArray(arr)
+        shared = SharedArray(arr)
         view = shared.as_array()
         assert view.dtype == arr.dtype and view.shape == arr.shape
         np.testing.assert_array_equal(view, arr)
 
     def test_shared_array_empty(self):
-        shared = _SharedArray(np.array([], dtype=np.int64))
+        shared = SharedArray(np.array([], dtype=np.int64))
         assert shared.as_array().size == 0
         assert shared.as_array().dtype == np.int64
 
