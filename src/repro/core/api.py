@@ -78,8 +78,8 @@ def select(
     Parameters
     ----------
     data:
-        The distributed input (left untouched: shards are copied before the
-        algorithms shrink them).
+        The distributed input. Its shards are read-only; the algorithms
+        read them and shrink private candidate sets.
     k:
         Target rank, ``1 <= k <= len(data)``.
     algorithm:
@@ -136,7 +136,8 @@ def multi_select(
     Parameters
     ----------
     data:
-        The distributed input (left untouched; shards are copied first).
+        The distributed input. Its shards are read-only; the algorithms
+        read them and shrink private candidate sets.
     ks:
         Target ranks, each in ``1 <= k <= len(data)``. Duplicates and
         arbitrary order are fine — ``values`` aligns with the input.

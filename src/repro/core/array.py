@@ -6,12 +6,15 @@ executes, and lazily carries a **default session** — the cached
 :class:`~repro.core.session.Session` behind the fluent query methods.
 
 A :class:`DistributedArray` is a 1-D array block-distributed over the
-machine's processors. It carries a lazily-computed content **fingerprint**
-(the cache/coalescing identity: two arrays with equal content and layout
-share cached results), and grows fluent query methods — ``data.select(k)``,
-``data.median()``, ``data.quantiles(qs)``, ``data.multi_select(ks)`` — that
-route through the machine's default session, so repeated traffic against
-the same array is served from cache without relaunching.
+machine's processors. Its shards are **immutable**: the library owns them,
+holds them in a tuple and marks each one read-only, so an in-place write
+raises NumPy's ``ValueError`` instead of going unseen. It carries a
+lazily-computed content **fingerprint** (the cache/coalescing identity:
+two arrays with equal content and layout share cached results), and grows
+fluent query methods — ``data.select(k)``, ``data.median()``,
+``data.quantiles(qs)``, ``data.multi_select(ks)`` — that route through the
+machine's default session, so repeated traffic against the same array is
+served from cache without relaunching.
 """
 
 from __future__ import annotations
@@ -54,9 +57,10 @@ class Machine:
     """A simulated coarse-grained machine: ``p`` processors + a cost model.
 
     ``backend`` picks the execution vehicle for launches (``"serial"``,
-    ``"threaded"`` or ``"process"``; ``None`` = ``$REPRO_BACKEND`` or
-    threaded). Selection values, RNG streams and simulated times are
-    identical on every backend — only wall-clock differs.
+    ``"threaded"``, ``"process"`` or ``"pool"``; ``None`` =
+    ``$REPRO_BACKEND`` or threaded). Selection values, RNG streams and
+    simulated times are identical on every backend — only wall-clock
+    differs.
 
     ``topology`` picks the machine *shape* collectives are lowered onto
     (``"crossbar"``, ``"binomial-tree"``, ``"hypercube"``, ``"two-level"``
@@ -193,15 +197,19 @@ class Machine:
         return DistributedArray(self, shards)
 
     def from_shards(self, shards: Sequence[np.ndarray]) -> "DistributedArray":
-        """Adopt externally-prepared per-processor shards."""
+        """Copy externally-prepared per-processor shards into a new array.
+
+        The copy is what keeps the shards immutable: a later write through
+        the caller's arrays (or a view of them) cannot reach the result.
+        """
         if len(shards) != self.n_procs:
             raise ConfigurationError(
                 f"need exactly {self.n_procs} shards, got {len(shards)}"
             )
-        shards = [np.asarray(s) for s in shards]
-        for shard in shards:
+        copies = [np.array(s) for s in shards]
+        for shard in copies:
             check_ordered_keys(shard)
-        return DistributedArray(self, shards)
+        return DistributedArray(self, copies)
 
     def generate(
         self, n: int, distribution: str = "random", seed: int = 0
@@ -239,16 +247,25 @@ class Machine:
 
 @dataclass
 class DistributedArray:
-    """A 1-D array block-distributed over a machine's processors."""
+    """A 1-D array block-distributed over a machine's processors.
+
+    The shards are read-only and held in a tuple, so neither an element
+    nor a shard slot can be replaced after construction: an element write
+    raises ``ValueError`` and a slot assignment raises ``TypeError``.
+    Constructing one directly takes ownership of the arrays passed in and
+    marks them read-only; :meth:`Machine.from_shards` copies them instead.
+    """
 
     machine: Machine
-    shards: list[np.ndarray]
+    shards: Sequence[np.ndarray]
     _fingerprint: str | None = field(
         default=None, init=False, repr=False, compare=False
     )
-    _probe: tuple | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+
+    def __post_init__(self) -> None:
+        self.shards = tuple(self.shards)
+        for shard in self.shards:
+            shard.flags.writeable = False
 
     @property
     def n(self) -> int:
@@ -281,39 +298,11 @@ class DistributedArray:
 
     # ------------------------------------------------------------- identity
 
-    def _content_probe(self) -> tuple:
-        """Cheap per-shard content signature: shape/dtype plus a
-        three-point probe (first/middle/last element), mirroring the pool
-        backend's pin-cache staleness guard. O(p) work per query, so the
-        fingerprint property can re-check it on EVERY access."""
-        sig = []
-        for s in self.shards:
-            flat = s.reshape(-1)
-            if flat.size:
-                sig.append((
-                    str(s.dtype), int(flat.size), flat[0].item(),
-                    flat[flat.size // 2].item(), flat[-1].item(),
-                ))
-            else:
-                sig.append((str(s.dtype), 0))
-        return tuple(sig)
-
     @property
     def fingerprint(self) -> str:
         """Content + layout hash: the cache/coalescing identity of this
-        array.
-
-        Computed lazily over the shard bytes and memoised. A cheap
-        three-point content probe (same contract as the pool backend's pin
-        cache) is re-checked on every access, so the common in-place shard
-        mutations (``d.shards[0][:] = ...``) change the fingerprint — and
-        therefore miss the Session result cache — without any explicit
-        :meth:`invalidate` call. Mutations invisible to the probe (interior
-        writes that leave the first/middle/last elements of every shard
-        intact) still require :meth:`invalidate`.
-        """
-        if self._fingerprint is not None and self._probe != self._content_probe():
-            self._fingerprint = None
+        array, computed once over the shard bytes and memoised (the
+        shards are immutable)."""
         if self._fingerprint is None:
             h = hashlib.sha1()
             h.update(str(len(self.shards)).encode())
@@ -323,14 +312,7 @@ class DistributedArray:
                 h.update(str(a.size).encode())
                 h.update(a)
             self._fingerprint = h.hexdigest()
-            self._probe = self._content_probe()
         return self._fingerprint
-
-    def invalidate(self) -> None:
-        """Forget the memoised fingerprint (shards were mutated in place
-        beyond what the three-point content probe can see)."""
-        self._fingerprint = None
-        self._probe = None
 
     # ---------------------------------------------------------- fluent API
 

@@ -118,23 +118,6 @@ class _MultiRunner:
         )
 
 
-@dataclass(frozen=True)
-class _ShardProgram:
-    """Picklable SPMD program body: defensive-copy the rank shard, then
-    delegate to ``runner(ctx, shard.copy(), *launch_args, *extra)``.
-
-    Both launch paths used to close over their runner, which confined the
-    ``pool`` backend to its per-launch fork fallback; a frozen dataclass
-    around a picklable runner pickles whenever the plan does.
-    """
-
-    runner: object
-    extra: tuple = ()
-
-    def __call__(self, ctx, shard, *args):
-        return self.runner(ctx, shard.copy(), *args, *self.extra)
-
-
 def resolve_multi(plan: SelectionPlan):
     """``(cfg, balancer_name, runner)`` for a batched launch.
 
@@ -349,9 +332,9 @@ def execute_select(
             return execute_sketch_select(data, k, plan)
         fn, cfg, balancer_name, extra = resolve_single(plan)
         result = data.machine.run(
-            _ShardProgram(fn, extra),
+            fn,
             rank_args=[(s,) for s in data.shards],
-            args=(k, cfg),
+            args=(k, cfg, *extra),
             backend=plan.backend,
             topology=plan.topology,
             trace=plan.trace,
@@ -386,7 +369,7 @@ def execute_multi_select(
             return empty_multi_report(data, plan, balancer_name)
         unique_ks = sorted(set(ks))
         result = data.machine.run(
-            _ShardProgram(runner),
+            runner,
             rank_args=[(s,) for s in data.shards],
             args=(unique_ks, cfg),
             backend=plan.backend,

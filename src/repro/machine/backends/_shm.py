@@ -7,7 +7,10 @@ holds the common pieces once so they cannot drift apart:
 * :class:`SharedArray` — one rank shard copied into an anonymous
   shared-memory buffer (``multiprocessing.RawArray``) the children inherit
   and wrap as a zero-copy NumPy view; shard bytes cross the process
-  boundary exactly once regardless of how many launches scan them.
+  boundary exactly once regardless of how many launches scan them. The
+  view is exactly as writable as the source array, so a rank sees its
+  argument the same way on every backend: a read-only
+  :class:`~repro.core.array.DistributedArray` shard stays read-only.
 * :class:`RankTransport` / :class:`QueueRendezvous` — the per-rank
   inbox-queue message fabric that plugs the forked ranks into the shared
   :class:`~repro.machine.collectives.CollectiveEngine`, so the cost
@@ -69,40 +72,33 @@ class SharedArray:
     Created in the parent before the fork; children inherit the mapping
     and wrap it as a zero-copy NumPy view, so shard bytes cross the
     process boundary exactly once (the parent-side copy-in) regardless of
-    how often ranks scan them.
+    how often ranks scan them. The view carries the source array's
+    writeability.
     """
 
     def __init__(self, arr: np.ndarray):
+        self.writeable = bool(arr.flags.writeable)
         arr = np.ascontiguousarray(arr)
         self.dtype = arr.dtype
         self.shape = arr.shape
         self.size = arr.size
         self._raw = multiprocessing.RawArray(ctypes.c_byte, max(arr.nbytes, 1))
         if arr.size:
-            self.as_array()[...] = arr
+            self._view()[...] = arr
 
     @property
     def nbytes(self) -> int:
         return len(self._raw)
 
-    def as_array(self) -> np.ndarray:
+    def _view(self) -> np.ndarray:
         return np.frombuffer(
             self._raw, dtype=self.dtype, count=self.size
         ).reshape(self.shape)
 
-    def matches(self, arr: np.ndarray) -> bool:
-        """Cheap staleness guard for pinned arrays: shape/dtype plus a
-        three-point content probe (first/middle/last element). Pinning is
-        by object identity; this catches the common in-place mutations
-        without re-hashing the whole buffer every launch."""
-        if arr.dtype != self.dtype or arr.shape != self.shape:
-            return False
-        if not arr.size:
-            return True
-        view = self.as_array()
-        probe = (0, arr.size // 2, arr.size - 1)
-        flat, vflat = arr.reshape(-1), view.reshape(-1)
-        return all(flat[i] == vflat[i] for i in probe)
+    def as_array(self) -> np.ndarray:
+        view = self._view()
+        view.flags.writeable = self.writeable
+        return view
 
 
 def share_rank_args(rank_args):

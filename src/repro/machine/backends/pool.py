@@ -15,15 +15,20 @@ amortises it:
   share, which its machine's counters add up. One generation lives per
   rank count, and least-recently used generations are retired before a
   fork would pass :data:`MAX_LIVE_WORKERS` live workers.
-* **Shards are pinned.** Every NumPy array in ``rank_args`` is copied once
+* **Shards are pinned.** Every immutable NumPy array in ``rank_args``
+  (read-only down to the array that owns its memory, as every
+  :class:`~repro.core.array.DistributedArray` shard is) is copied once
   into a :class:`~repro.machine.backends._shm.SharedArray` and referenced
   in later jobs by a small token; workers inherit the pin table at fork
-  and wrap buffers as zero-copy views, so repeated launches over the same
-  array move no shard bytes at all. Pins are identity-keyed with a cheap
-  content probe guarding against in-place mutation, and evicted LRU past
-  :data:`MAX_PINNED_BYTES`. ``RawArray`` segments are inherited, never
-  attached: a launch that needs a token the live generation was not forked
-  with simply retires that generation and re-forks with the merged table.
+  and wrap buffers as read-only zero-copy views, so repeated launches
+  over the same array move no shard bytes at all. Its content cannot
+  change, so pins are keyed by identity alone and evicted LRU past
+  :data:`MAX_PINNED_BYTES`. Any other array could change between
+  launches, so it is never pinned: it rides inside the job's pickle on
+  every launch, writeability included. ``RawArray`` segments are
+  inherited, never attached: a launch that needs a token the live
+  generation was not forked with simply retires that generation and
+  re-forks with the merged table.
 * **Same fabric, same evidence.** Jobs run over the shared
   :class:`~repro.machine.backends._shm.RankTransport` queue fabric and
   :func:`~repro.machine.backends._shm.build_worker_context`, so values,
@@ -82,6 +87,16 @@ MAX_PINNED_BYTES = 512 * 1024 * 1024
 #: only costs a re-fork if its rank count comes back). The paper's
 #: largest machine has 128 ranks.
 MAX_LIVE_WORKERS = 128
+
+
+def _immutable(arr) -> bool:
+    """Whether ``arr`` and every array it is a view of are read-only, so
+    no writable array can reach its memory."""
+    while isinstance(arr, np.ndarray):
+        if arr.flags.writeable:
+            return False
+        arr = arr.base
+    return arr is None
 
 
 @dataclass(frozen=True)
@@ -248,20 +263,17 @@ class PoolBackend(ExecutionBackend):
         self._pinned_bytes -= shared.nbytes
 
     def _pin(self, arr: np.ndarray, launch: Launch) -> int:
-        """Pin ``arr`` (identity-keyed) for ``launch`` and return its token.
+        """Pin the immutable ``arr`` (identity-keyed) for ``launch`` and
+        return its token.
 
         The cache holds a strong reference to the original array, so its
-        ``id`` stays valid for the cache's lifetime; ``matches`` catches
-        in-place mutation of a previously pinned array.
+        ``id`` stays valid for the cache's lifetime.
         """
         key = id(arr)
         hit = self._pin_cache.get(key)
         if hit is not None:
-            ref, token = hit
-            if ref is arr and self._pin_table[token].matches(arr):
-                self._pin_cache.move_to_end(key)
-                return token
-            self._unpin(key)
+            self._pin_cache.move_to_end(key)
+            return hit[1]
         shared = SharedArray(arr)
         token = self._next_token
         self._next_token += 1
@@ -282,14 +294,15 @@ class PoolBackend(ExecutionBackend):
             self._unpin(key)
 
     def _pin_rank_args(self, launch: Launch):
-        """Replace arrays with pin tokens; returns ``(rows, needed)``."""
+        """Replace immutable arrays with pin tokens; returns ``(rows,
+        needed)``. Other arrays stay in the rows and are pickled."""
         if launch.rank_args is None:
             return None, frozenset()
         rows, needed = [], set()
         for row in launch.rank_args:
             out = []
             for a in row:
-                if isinstance(a, np.ndarray):
+                if isinstance(a, np.ndarray) and _immutable(a):
                     token = self._pin(a, launch)
                     needed.add(token)
                     out.append(_PinRef(token))
@@ -323,7 +336,9 @@ class PoolBackend(ExecutionBackend):
 
     def _encode_jobs(self, launch: Launch, rows) -> list[bytes] | None:
         """Pickle one job descriptor per rank, or ``None`` if the launch
-        cannot cross into already-running workers."""
+        cannot cross into already-running workers. The highest pickle
+        protocol (5 or later) keeps an unpinned array's writeability, so
+        a read-only argument stays read-only in the worker."""
         try:
             payloads = []
             for rank in range(launch.n_procs):
@@ -332,7 +347,7 @@ class PoolBackend(ExecutionBackend):
                     launch.fn, extra, launch.args, launch.kwargs,
                     launch.cost_model, launch.topology,
                     launch.tracer.enabled, launch.join_timeout,
-                )))
+                ), protocol=pickle.HIGHEST_PROTOCOL))
             return payloads
         except Exception:
             return None

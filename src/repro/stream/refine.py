@@ -212,7 +212,7 @@ def execute_sketch_select(
         intervals = candidate_intervals(merged, [target_k])
         survivors, adjusted, n_surv = _prefilter(ctx, K, shard, intervals)
         if survivors is None:
-            value, stats = fn(ctx, shard.copy(), target_k, config, *extra)
+            value, stats = fn(ctx, shard, target_k, config, *extra)
             fallback = True
         else:
             value, stats = fn(ctx, survivors, adjusted[0], config, *extra)
@@ -265,7 +265,7 @@ def execute_sketch_multi_select(
         intervals = candidate_intervals(merged, ks_sorted)
         survivors, adjusted, n_surv = _prefilter(ctx, K, shard, intervals)
         if survivors is None:
-            values, stats = runner(ctx, shard.copy(), ks_sorted, config)
+            values, stats = runner(ctx, shard, ks_sorted, config)
             fallback = True
         else:
             values, stats = runner(ctx, survivors, adjusted, config)

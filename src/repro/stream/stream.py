@@ -11,6 +11,9 @@ batches:
   only on the *concatenated stream*, not on how it was chopped into
   batches: ``append(a); append(b)`` produces bit-identical shards to
   ``append(concat(a, b))`` (the streaming/batch equivalence the tests pin).
+  Each batch's per-rank parts and the materialised shards are read-only,
+  like every :class:`~repro.core.array.DistributedArray` shard: only an
+  append or a retirement changes the content.
 * **Incremental fingerprint.** The array's cache identity (what
   :class:`~repro.core.session.Session` keys its result cache on) updates
   in ``O(batch)`` per mutation, never ``O(n)``. Append-only streams feed
@@ -98,11 +101,6 @@ class _Batch:
                 for p in self.parts
             ]
         return self._digests
-
-    def forget_derived(self) -> None:
-        """Drop cached sketches/digests (parts were mutated in place)."""
-        self.sketches.clear()
-        self._digests = None
 
 
 class StreamingArray(DistributedArray):
@@ -193,6 +191,8 @@ class StreamingArray(DistributedArray):
         p = self.machine.n_procs
         base = self.appended_total
         parts = [batch[(r - base) % p:: p].copy() for r in range(p)]
+        for part in parts:
+            part.flags.writeable = False
         chain: list | None = None
         if not self._windowed:
             # The previous batch's per-rank hash chains advanced by exactly
@@ -299,26 +299,15 @@ class StreamingArray(DistributedArray):
                 h.update(hasher.digest())
         return h.hexdigest()
 
-    def invalidate(self) -> None:
-        """Forget memoised identity/layout/summary state (defensive parity
-        with :meth:`DistributedArray.invalidate` for callers that mutated
-        batch contents in place; normal mutation paths need only
-        :meth:`_bump`)."""
-        prev: list | None = None
-        for b in self._batches:
-            b.forget_derived()
-            if not self._windowed:
-                b.chain = prev = _advance_chain(prev, b.parts)
-        self._bump()
-
     # -------------------------------------------------------------- layout
 
     @property
-    def shards(self) -> list[np.ndarray]:
-        """The live window materialised per rank (cached until mutation)."""
+    def shards(self) -> tuple[np.ndarray, ...]:
+        """The live window materialised per rank, read-only (cached until
+        the next append or retirement)."""
         return self._derived("shards", self._build_shards)
 
-    def _build_shards(self, batches: list[_Batch]) -> list[np.ndarray]:
+    def _build_shards(self, batches: list[_Batch]) -> tuple[np.ndarray, ...]:
         p = self.machine.n_procs
         dtype = self._dtype if self._dtype is not None else np.float64
         per_rank: list[list[np.ndarray]] = [[] for _ in range(p)]
@@ -326,10 +315,13 @@ class StreamingArray(DistributedArray):
             for r in range(p):
                 if b.parts[r].size:
                     per_rank[r].append(b.parts[r])
-        return [
+        shards = tuple(
             np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
             for parts in per_rank
-        ]
+        )
+        for shard in shards:
+            shard.flags.writeable = False
+        return shards
 
     @property
     def live_batch_ids(self) -> list[int]:

@@ -3,12 +3,14 @@ plus the regression pins for the two serving-tier bugfixes —
 
 * out-of-range ranks are rejected BEFORE any SPMD launch (they used to
   burn a launch and surface as WorkerError), and
-* in-place shard mutation changes the array fingerprint (the result
-  cache used to serve pre-mutation answers).
+* shards are immutable: an in-place write raises instead of leaving the
+  result cache to serve pre-write answers.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.selection import STRATEGIES
@@ -90,47 +92,91 @@ class TestOutOfRangeRankPreLaunch:
 
 
 # ---------------------------------------------------------------------------
-# Regression: in-place shard mutation must not serve stale cached answers
+# Regression: a shard write must never leave a stale cached answer
 # ---------------------------------------------------------------------------
 
 
-class TestMutationInvalidatesCache:
-    def test_inplace_overwrite_changes_median(self):
+ENTRY_POINTS = ("distribute", "from_shards", "generate", "stream",
+                "rebalance")
+
+
+def _build(machine, entry, keys, cut):
+    """``(array, caller_arrays)`` for one entry point. ``caller_arrays``
+    are the writable arrays the caller still holds (``from_shards`` only)."""
+    p = machine.n_procs
+    if entry == "distribute":
+        return machine.distribute(keys), []
+    if entry == "from_shards":
+        originals = [keys[r::p] for r in range(p)]
+        return machine.from_shards(originals), originals
+    if entry == "generate":
+        return machine.generate(keys.size, seed=int(cut)), []
+    if entry == "stream":
+        stream = machine.stream()
+        stream.append(keys[:cut])
+        stream.append(keys[cut:])
+        return stream, []
+    # Rebalance output: all keys start on rank 0, so data really moves.
+    skewed = [keys] + [keys[:0]] * (p - 1)
+    return machine.from_shards(skewed).rebalance()[0], []
+
+
+class TestShardWritesRaise:
+    """Shards are read-only and held in a tuple: an element write raises
+    ``ValueError``, a slot assignment raises ``TypeError``, and new
+    content enters only as a new array."""
+
+    def test_inplace_overwrite_raises_and_redistributed_median_is_fresh(self):
         machine = repro.Machine(n_procs=4)
-        data = machine.distribute(np.arange(1.0, 101.0))
+        keys = np.arange(1.0, 101.0)
+        data = machine.distribute(keys)
         stale = data.median().value
-        data.shards[0][:] = 999.0
-        fresh = data.median()
-        assert fresh.value != stale, (
-            "post-mutation query served a stale cached answer"
-        )
-        assert fresh.value == oracle(data, (data.n + 1) // 2)
+        with pytest.raises(ValueError, match="read-only"):
+            data.shards[0][:] = 999.0
+        assert data.median().value == stale == oracle(data, 50)
+        keys[:25] = 999.0
+        fresh = machine.distribute(keys).median()
+        assert fresh.value != stale
+        assert fresh.value == float(np.sort(keys)[49])
 
-    def test_single_element_edit_at_probe_point(self):
+    def test_single_element_write_raises(self):
         machine = repro.Machine(n_procs=2)
-        data = machine.distribute(np.arange(1.0, 11.0))
+        keys = np.arange(1.0, 11.0)
+        data = machine.distribute(keys)
         assert data.select(10).value == 10.0
-        data.shards[1][-1] = 1000.0  # last element: probe-visible
-        assert data.select(10).value == 1000.0
+        with pytest.raises(ValueError, match="read-only"):
+            data.shards[1][-1] = 1000.0
+        assert data.select(10).value == 10.0
+        keys[-1] = 1000.0
+        assert machine.distribute(keys).select(10).value == 1000.0
 
-    def test_fingerprint_changes_on_mutation(self):
+    def test_redistributed_content_changes_fingerprint(self):
         machine = repro.Machine(n_procs=2)
-        data = machine.distribute(np.arange(1.0, 101.0))
+        keys = np.arange(1.0, 101.0)
+        data = machine.distribute(keys)
         fp = data.fingerprint
-        data.shards[0][0] = -1.0
-        assert data.fingerprint != fp
-
-    def test_probe_invisible_mutation_needs_invalidate(self):
-        # The documented limit of the 3-point probe: an interior write
-        # that leaves first/middle/last of every shard intact still
-        # requires an explicit invalidate().
-        machine = repro.Machine(n_procs=1)
-        data = machine.distribute(np.arange(1.0, 102.0))
-        fp = data.fingerprint
-        data.shards[0][1] = 500.0  # interior, probe-blind
+        with pytest.raises(ValueError, match="read-only"):
+            data.shards[0][0] = -1.0
         assert data.fingerprint == fp
-        data.invalidate()
-        assert data.fingerprint != fp
+        keys[0] = -1.0
+        assert machine.distribute(keys).fingerprint != fp
+
+    def test_interior_write_raises(self):
+        # An interior write leaves the first, middle and last key of every
+        # shard intact; no sampled check could see it, so it must raise.
+        machine = repro.Machine(n_procs=1)
+        keys = np.arange(1.0, 102.0)
+        data = machine.distribute(keys)
+        fp = data.fingerprint
+        with pytest.raises(ValueError, match="read-only"):
+            data.shards[0][1] = 500.0
+        with pytest.raises(TypeError):
+            data.shards[0] = np.zeros(3)
+        assert data.fingerprint == fp
+        keys[1] = 500.0
+        fresh = machine.distribute(keys)
+        assert fresh.fingerprint != fp
+        assert fresh.select(101).value == 500.0
 
     def test_mutation_through_service(self):
         import asyncio
@@ -138,17 +184,61 @@ class TestMutationInvalidatesCache:
         from repro.serve import SelectionService
 
         machine = repro.Machine(n_procs=2)
+        keys = np.arange(1.0, 101.0)
 
         async def main():
             async with SelectionService(machine, window=0.001) as svc:
-                data = svc.register("d", np.arange(1.0, 101.0))
+                data = svc.register("d", keys)
                 stale = (await svc.median("d")).value
-                data.shards[0][:] = 999.0
+                with pytest.raises(ValueError, match="read-only"):
+                    data.shards[0][:] = 999.0
+                keys[:50] = 999.0
+                svc.unregister("d")
+                data = svc.register("d", keys)
                 fresh = (await svc.median("d")).value
                 return stale, fresh, oracle(data, (data.n + 1) // 2)
 
         stale, fresh, expected = asyncio.run(main())
         assert fresh != stale and fresh == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        entry=st.sampled_from(ENTRY_POINTS),
+        p=st.integers(1, 4),
+        keys=st.lists(
+            st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=120
+        ).map(np.array),
+        data=st.data(),
+    )
+    def test_no_write_reaches_a_shard(self, entry, p, keys, data):
+        """Whatever the entry point and the write position (interior ones
+        included), the answers stay those of the content at construction."""
+        machine = repro.Machine(n_procs=p)
+        arr, originals = _build(
+            machine, entry, keys, data.draw(st.integers(0, keys.size))
+        )
+        snapshot = arr.gather().copy()
+        fp = arr.fingerprint
+        k = data.draw(st.integers(1, snapshot.size), label="k")
+        expect = np.partition(snapshot, k - 1)[k - 1]
+        assert arr.select(k).value == expect
+        value = data.draw(st.floats(-1e7, 1e7, allow_nan=False),
+                          label="value")
+        live = [r for r in range(p) if arr.shards[r].size]
+        r = data.draw(st.sampled_from(live), label="rank")
+        i = data.draw(st.integers(0, arr.shards[r].size - 1), label="pos")
+        with pytest.raises(ValueError, match="read-only"):
+            arr.shards[r][i] = value
+        with pytest.raises(TypeError):
+            arr.shards[r] = np.array([value])
+        for original in originals:
+            if original.size:
+                original[min(i, original.size - 1)] = value
+        assert np.array_equal(arr.gather(), snapshot)
+        assert arr.fingerprint == fp
+        assert arr.select(k).value == expect
+        uncached = machine.session(cache=False).run_select(arr, k)
+        assert uncached.value == expect
 
 
 # ---------------------------------------------------------------------------

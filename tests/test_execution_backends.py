@@ -50,6 +50,11 @@ def _ring_shift_and_alltoall(ctx):
     return got, sum(int(r[0]) for r in received)
 
 
+def _write_first_key(ctx, shard):
+    shard[0] = -1.0
+    return ctx.comm.allreduce_sum(float(shard[0]))
+
+
 def _early_return(ctx):
     if ctx.rank == 2:
         return  # never reaches the barrier the others wait at
@@ -358,6 +363,42 @@ class TestProcessTransport:
         proc = run_spmd(prog, 3, trace=True, backend="process")
         for op in ("broadcast", "combine"):
             assert proc.tracer.count(op) == threaded.tracer.count(op) == 3
+
+
+def _rank_args(kind: str, machine) -> list:
+    keys = [np.arange(4.0) + r for r in range(machine.n_procs)]
+    if kind == "shard":
+        keys = list(machine.from_shards(keys).shards)
+    elif kind == "readonly-view":  # read-only, its memory writable
+        keys = [k.view() for k in keys]
+        for k in keys:
+            k.flags.writeable = False
+    return [(k,) for k in keys]
+
+
+class TestShardWriteability:
+    """A rank sees its argument exactly as writable as the caller's
+    array, on every backend: a write into a ``DistributedArray`` shard or
+    another read-only array raises ``ValueError``; a writable raw
+    ``rank_args`` array takes the write."""
+
+    @pytest.mark.parametrize("kind", ["shard", "readonly-view", "writable"])
+    @pytest.mark.parametrize("backend", ["serial", "threaded", "process",
+                                         "pool"])
+    def test_rank_sees_callers_writeability(self, backend, kind):
+        machine = repro.Machine(n_procs=4, backend=backend)
+        rank_args = _rank_args(kind, machine)
+        if kind == "writable":
+            res = machine.run(_write_first_key, rank_args=rank_args)
+            assert res.values == [-4.0] * 4
+            return
+        with pytest.raises((ValueError, WorkerError)) as ei:
+            machine.run(_write_first_key, rank_args=rank_args)
+        err = ei.value
+        cause = err.cause if isinstance(err, WorkerError) else err
+        assert isinstance(cause, ValueError), repr(cause)
+        assert "read-only" in str(cause)
+        assert all(a[0][0] == r for r, a in enumerate(rank_args))
 
 
 def _transports(n, timeout=5.0):

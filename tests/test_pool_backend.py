@@ -82,12 +82,21 @@ class TestForkOnceServeMany:
         machine.run(_sum_shard, rank_args=[(s,) for s in b.shards])
         assert machine.fork_count == baseline + 1
 
-    def test_in_place_mutation_is_not_served_stale(self):
+    @pytest.mark.parametrize("readonly_view", [False, True],
+                             ids=["array", "readonly-view"])
+    @pytest.mark.parametrize("pos", [0, 1, -1],
+                             ids=["first", "interior", "last"])
+    def test_in_place_mutation_is_not_served_stale(self, pos, readonly_view):
         machine = _fresh_pool_machine()
-        shards = [np.arange(10.0) + r for r in range(P)]
-        first = machine.run(_sum_shard, rank_args=[(s,) for s in shards])
-        shards[0][...] = 1000.0
-        second = machine.run(_sum_shard, rank_args=[(s,) for s in shards])
+        shards = [np.arange(101.0) + r for r in range(P)]
+        args = shards
+        if readonly_view:  # read-only, but its memory is still writable
+            args = [s.view() for s in shards]
+            for a in args:
+                a.flags.writeable = False
+        first = machine.run(_sum_shard, rank_args=[(a,) for a in args])
+        shards[0][pos] = 5000.0
+        second = machine.run(_sum_shard, rank_args=[(a,) for a in args])
         expected = float(sum(float(s.sum()) for s in shards))
         assert second.values[0] == expected
         assert second.values[0] != first.values[0]

@@ -283,17 +283,18 @@ class TestResultCache:
         session.select(data, 100, seed=2).result()
         assert machine.launch_count == before + 1
 
-    def test_mutation_plus_invalidate_misses(self, machine):
-        d = machine.from_shards(
-            [np.arange(r * 10, r * 10 + 10, dtype=np.float64)
-             for r in range(P)]
-        )
+    def test_write_raises_and_new_content_misses(self, machine):
+        shards = [np.arange(r * 10, r * 10 + 10, dtype=np.float64)
+                  for r in range(P)]
+        d = machine.from_shards(shards)
         session = machine.session()
         assert session.run_select(d, 1).value == 0.0
-        d.shards[0][0] = -5.0
-        d.invalidate()
+        with pytest.raises(ValueError, match="read-only"):
+            d.shards[0][0] = -5.0
+        shards[0][0] = -5.0  # the caller's array, not the shard
+        assert session.run_select(d, 1).value == 0.0
         before = machine.launch_count
-        rep = session.run_select(d, 1)
+        rep = session.run_select(machine.from_shards(shards), 1)
         assert machine.launch_count == before + 1, "new fingerprint, new launch"
         assert rep.value == -5.0
 
