@@ -5,9 +5,9 @@ These are thin shims over the Plan/Session layer, kept for the historical
 call shape (``repro.select(data, k, algorithm=..., seed=...)``). Each call
 builds a validated :class:`~repro.core.plan.SelectionPlan` from its kwargs
 and runs it through an uncached one-shot
-:class:`~repro.core.session.Session`, so values, RNG streams and simulated
-times are bit-identical to the pre-Session API — one SPMD launch per call,
-no memoisation.
+:class:`~repro.core.session.Session`: one launch of the one selection
+program per call, no memoisation, so a legacy call gives the same value
+and simulated time as every other entry path.
 
 New code should prefer the composable surface::
 

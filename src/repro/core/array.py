@@ -319,7 +319,7 @@ class DistributedArray:
     def select(self, k: int, plan: "SelectionPlan | None" = None,
                **overrides) -> "SelectionReport":
         """Rank-``k`` selection through the machine's default session
-        (single-rank engine; repeated queries are cache hits)."""
+        (a one-target launch; repeated queries are cache hits)."""
         return self.machine.default_session.run_select(
             self, k, plan, **overrides
         )

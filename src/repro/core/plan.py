@@ -11,11 +11,12 @@ and carry a stable :meth:`cache_key`, which is what lets a
 :class:`~repro.core.session.Session` coalesce queries and cache results
 per ``(array fingerprint, plan, rank)``.
 
-``plan.resolve()`` reproduces the historical ``_resolve_config`` pairing
-bit-for-bit: ``balancer="default"`` maps to the paper's pairing (global
-exchange for median of medians, nothing otherwise), and a fresh balancer
-instance is built per resolution so stateful balancers never leak between
-launches.
+``plan.resolve()`` builds the launch: the one selection program
+(:class:`~repro.selection.SelectionProgram`), its
+:class:`~repro.selection.SelectionConfig` and the balancer's name.
+``balancer="default"`` maps to the paper's pairing (global exchange for
+median of medians, nothing otherwise), and a fresh balancer instance is
+built per resolution so stateful balancers never leak between launches.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from ..errors import ConfigurationError
 from ..kernels.select import SelectMethod
 from ..machine.backends import available_backends
 from ..machine.topology import validate_topology_spec
-from ..selection import ALGORITHMS, SelectionConfig
+from ..selection import ALGORITHM_SPECS, ALGORITHMS, SelectionConfig, SelectionProgram
 from ..selection.fast_randomized import FastRandomizedParams
 
 __all__ = [
@@ -238,11 +239,12 @@ class SelectionPlan:
 
     # ------------------------------------------------------------ resolution
 
-    def resolve(self) -> tuple[object, SelectionConfig, str]:
-        """Build ``(spmd_fn, SelectionConfig, balancer_name)`` for a launch.
+    def resolve(self) -> tuple[SelectionProgram, SelectionConfig, str]:
+        """Build ``(program, SelectionConfig, balancer_name)`` for a launch.
 
-        A fresh balancer instance is created per call, exactly as the
-        historical per-call resolution did.
+        ``program(ctx, shard, ks_sorted, cfg)`` is the one SPMD selection
+        program, for one target rank or many. A fresh balancer instance is
+        created per call.
         """
         if self.algorithm == "auto":
             raise ConfigurationError(
@@ -250,24 +252,30 @@ class SelectionPlan:
                 "launch (repro.planner.resolve_auto); launch paths do this "
                 "automatically"
             )
-        fn, default_seq, needs_balance = ALGORITHMS[self.algorithm]
+        spec = ALGORITHM_SPECS[self.algorithm]
         if self.balancer == "default":
             # Paper defaults: MoM requires balancing (its figures use global
             # exchange); everything else runs without.
             balancer_obj: Balancer = get_balancer(
-                "global_exchange" if needs_balance else None
+                "global_exchange" if spec.needs_balancing else None
             )
         else:
             balancer_obj = get_balancer(self.balancer)
+        sequential_method = self.sequential_method or spec.sequential_method
+        if self.algorithm.startswith("hybrid_"):
+            # Section 5: deterministic parallel structure with randomized
+            # sequential parts, whatever the plan asks for.
+            sequential_method = "randomized"
         cfg = SelectionConfig(
             balancer=balancer_obj,
-            sequential_method=self.sequential_method or default_seq,
+            sequential_method=sequential_method,
             seed=self.seed,
             endgame_threshold=self.endgame_threshold,
             max_iterations=self.max_iterations,
             impl_override=self.impl_override,
         )
-        return fn, cfg, type(balancer_obj).__name__
+        program = SelectionProgram(self.algorithm, self.fast_params)
+        return program, cfg, type(balancer_obj).__name__
 
     # --------------------------------------------------------------- keying
 

@@ -24,15 +24,13 @@ batches:
   ``cached=True`` and ``result=None``; every other field equals the
   originating report's.
 * **Immediate paths.** :meth:`run_select` / :meth:`run_multi_select` /
-  :meth:`run_quantiles` answer now (still cache-aware). ``run_select``
-  drives the historical single-rank engine, which is how the legacy
-  top-level functions stay bit-identical to their pre-Session behaviour;
-  the deferred/coalesced path always uses the batched engine.
+  :meth:`run_quantiles` answer now (still cache-aware). ``run_select`` is
+  a one-target launch, so a rank costs the same simulated time whichever
+  path asks for it.
 
-Module-level :func:`execute_select` / :func:`execute_multi_select` are the
-uncached launch primitives (faithful ports of the historical ``select`` /
-``multi_select`` bodies — same collective sequences, RNG streams and
-simulated times).
+Module-level :func:`execute_multi_select` is the uncached launch
+primitive: every query, one rank or many, is one launch of the one
+selection program (:class:`~repro.selection.SelectionProgram`).
 """
 
 from __future__ import annotations
@@ -49,13 +47,7 @@ from ..kernels.select import median_rank
 from ..machine.clock import TimeBreakdown
 from ..obs import get_recorder
 from ..obs.metrics import REGISTRY
-from ..selection import (
-    STRATEGIES,
-    MultiSelectionStats,
-    SelectionStats,
-    contract_multi_select,
-    sort_based_multi_select,
-)
+from ..selection import MultiSelectionStats, SelectionStats
 from ..selection.cost import predict
 from .plan import SelectionPlan, as_plan, validate_rank, validate_targets
 from .reports import MultiSelectionReport, SelectionReport
@@ -68,69 +60,20 @@ __all__ = [
     "SessionStats",
     "SelectionFuture",
     "MultiSelectionFuture",
-    "execute_select",
     "execute_multi_select",
 ]
 
 
 # --------------------------------------------------------------------------
-# Launch primitives (uncached; bit-identical to the historical entry points)
+# Launch primitive (uncached)
 # --------------------------------------------------------------------------
 
 
-# Shared launch plumbing: the plain paths below and the sketch-prefiltered
-# paths of repro.stream.refine differ only in the SPMD program body (and
+# Shared launch plumbing: the plain path below and the sketch-prefiltered
+# path of repro.stream.refine differ only in the SPMD program body (and
 # its per-rank args); resolution, validation, the empty-set report and the
 # report assembly live here ONCE so the two paths cannot drift apart —
 # which is what keeps the "bit-identical to plain" contract honest.
-
-
-def resolve_single(plan: SelectionPlan):
-    """``(fn, cfg, balancer_name, extra)`` for a single-rank launch."""
-    fn, cfg, balancer_name = plan.resolve()
-    extra: tuple = ()
-    if plan.algorithm == "fast_randomized" and plan.fast_params is not None:
-        extra = (plan.fast_params,)
-    return fn, cfg, balancer_name, extra
-
-
-@dataclass(frozen=True)
-class _MultiRunner:
-    """Picklable batched-selection runner.
-
-    The strategy registry holds factories (lambdas) that cannot cross a
-    process boundary, so the runner carries only the algorithm *name* and
-    resolves the factory on the executing rank. Being a plain module-level
-    dataclass (not a closure) is what lets the ``pool`` backend ship
-    batched launches to its already-running workers.
-    """
-
-    algorithm: str
-    fast_params: object = None
-
-    def __call__(self, ctx, arr, ks_sorted, config):
-        if self.algorithm == "sort_based":
-            return sort_based_multi_select(ctx, arr, ks_sorted, config)
-        return contract_multi_select(
-            ctx, arr, ks_sorted, config,
-            STRATEGIES[self.algorithm](self.fast_params),
-            algorithm=self.algorithm,
-        )
-
-
-def resolve_multi(plan: SelectionPlan):
-    """``(cfg, balancer_name, runner)`` for a batched launch.
-
-    ``runner(ctx, arr, ks_sorted, cfg)`` answers every rank over ``arr``
-    (the full shard for the plain path, the survivors for the sketch
-    path) and returns ``(values, MultiSelectionStats)``.
-    """
-    _fn, cfg, balancer_name = plan.resolve()
-    if plan.algorithm.startswith("hybrid_"):
-        # Same forcing the single-rank hybrids apply: deterministic
-        # parallel structure, randomized sequential parts.
-        cfg = dataclasses.replace(cfg, sequential_method="randomized")
-    return cfg, balancer_name, _MultiRunner(plan.algorithm, plan.fast_params)
 
 
 def empty_multi_report(
@@ -225,40 +168,6 @@ def observe_launch(data: "DistributedArray", plan: SelectionPlan,
                      sim_t1=span.sim_t1, endgame_n=stats.endgame_n)
 
 
-def finish_select(
-    data: "DistributedArray", k: int, plan: SelectionPlan,
-    balancer_name: str, result,
-) -> SelectionReport:
-    """Unpack one single-rank launch result into its report."""
-    values = [v[0] for v in result.values]
-    stats: SelectionStats = result.values[0][1]
-    first = values[0]
-    assert all(v == first for v in values), "ranks disagree on the answer"
-    predicted = predict_simulated(
-        plan, data.n, data.p, data.machine.cost_model,
-        plan.topology if plan.topology is not None else data.machine.topology,
-    )
-    observe_launch(data, plan, [k], result, stats, predicted)
-    return SelectionReport(
-        value=first,
-        k=k,
-        n=data.n,
-        p=data.p,
-        algorithm=plan.algorithm,
-        balancer=balancer_name,
-        simulated_time=result.simulated_time,
-        wall_time=result.wall_time,
-        breakdown=result.breakdown,
-        stats=stats,
-        result=result,
-        backend=result.backend,
-        topology=result.topology,
-        predicted_time=predicted,
-        balance_time=result.balance_time,
-        rounds=result.collective_rounds(),
-    )
-
-
 def finish_multi(
     data: "DistributedArray", ks: list[int], unique_ks: list[int],
     plan: SelectionPlan, balancer_name: str, result,
@@ -304,53 +213,21 @@ def finish_multi(
     )
 
 
-def execute_select(
-    data: "DistributedArray", k: int, plan: SelectionPlan
-) -> SelectionReport:
-    """One single-rank selection launch (the historical ``select`` body).
-
-    Plans carrying ``prefilter="sketch"`` route to the sketch-accelerated
-    exact path (:mod:`repro.stream.refine`): same answer, same launch
-    accounting, smaller live set for the contraction.
-
-    ``k`` is range-checked BEFORE any launch is assembled: an out-of-range
-    rank raises :class:`~repro.errors.ConfigurationError` with
-    ``Machine.launch_count`` unchanged (it used to burn a full SPMD launch
-    and surface as ``WorkerError``).
-    """
-    k = validate_rank(k, data.n)
-    if plan.algorithm == "auto":
-        # Cost-model-driven choice (lazy import: the planner imports core).
-        from ..planner.planner import resolve_auto
-
-        plan = resolve_auto(data, plan)
-    with get_recorder().span("query", kind="select", algorithm=plan.algorithm,
-                             n=data.n, p=data.p, k=k):
-        if plan.prefilter == "sketch":
-            from ..stream.refine import execute_sketch_select
-
-            return execute_sketch_select(data, k, plan)
-        fn, cfg, balancer_name, extra = resolve_single(plan)
-        result = data.machine.run(
-            fn,
-            rank_args=[(s,) for s in data.shards],
-            args=(k, cfg, *extra),
-            backend=plan.backend,
-            topology=plan.topology,
-            trace=plan.trace,
-        )
-        return finish_select(data, k, plan, balancer_name, result)
-
-
 def execute_multi_select(
     data: "DistributedArray", ks: Sequence[int], plan: SelectionPlan
 ) -> MultiSelectionReport:
-    """One batched multi-rank launch (the historical ``multi_select`` body).
+    """One launch of the selection program answering every rank in ``ks``.
 
     Every rank in ``ks`` is answered by ONE contraction: the engine tracks
     the whole target set through a single iterate-shrink pass, forking the
     live set when a pivot lands between two targets, and the endgame costs
-    one Gather + Broadcast however many intervals survive.
+    one Gather + Broadcast however many intervals survive. One distinct
+    rank is the ``q = 1`` case, priced as the paper's single-rank
+    algorithm.
+
+    Plans carrying ``prefilter="sketch"`` route to the sketch-accelerated
+    exact path (:mod:`repro.stream.refine`): same answers, same launch
+    accounting, smaller live set for the contraction.
     """
     if plan.algorithm == "auto":
         from ..planner.planner import resolve_auto
@@ -364,12 +241,12 @@ def execute_multi_select(
 
             return execute_sketch_multi_select(data, ks, plan)
         ks = validate_targets(ks, data.n)
-        cfg, balancer_name, runner = resolve_multi(plan)
+        program, cfg, balancer_name = plan.resolve()
         if not ks:
             return empty_multi_report(data, plan, balancer_name)
         unique_ks = sorted(set(ks))
         result = data.machine.run(
-            runner,
+            program,
             rank_args=[(s,) for s in data.shards],
             args=(unique_ks, cfg),
             backend=plan.backend,
@@ -821,16 +698,18 @@ class Session:
     def run_select(self, data: "DistributedArray", k: int,
                    plan: SelectionPlan | None = None,
                    **overrides) -> SelectionReport:
-        """Answer rank ``k`` NOW through the single-rank engine.
+        """Answer rank ``k`` NOW with a one-target launch.
 
         Cache-aware (namespace ``"select"``): a repeat of an answered
         ``(array, plan, k)`` costs zero launches and returns a report equal
         to the original on every field but ``cached`` (True) and ``result``
         (None: the cache keeps the value and a slim
-        :class:`_LaunchMetrics`, not the launch's ``SPMDResult``). This is
+        :class:`_LaunchMetrics`, not the launch's ``SPMDResult``). The
+        namespace is its own because a ``run_select`` report describes a
+        launch that answered this one rank alone, while a ``"multi"`` entry
+        may carry the metrics of a launch shared with other ranks. This is
         the path the legacy :func:`repro.select` shim and the fluent
-        ``data.select(k)`` ride, so their collective sequences, RNG streams
-        and simulated times are bit-identical to the pre-Session API.
+        ``data.select(k)`` ride.
         """
         self._check_data(data)
         k = validate_rank(k, data.n)
@@ -845,7 +724,9 @@ class Session:
                 return _report(SelectionReport, hit.metrics, None, True,
                                value=hit.value, k=k)
             self.stats.cache_misses += 1
-        report = execute_select(data, k, plan)
+        multi = execute_multi_select(data, [k], plan)
+        report = per_rank_view(multi, k, multi.values[0],
+                               result=multi.result)
         self.stats.launches += 1
         if key is not None:
             self._cache_put(key, _CacheEntry(report.value,

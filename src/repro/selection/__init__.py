@@ -2,10 +2,12 @@
 
 All of them share the contraction engine of :mod:`repro.selection.engine`
 (iterate-shrink-endgame with pluggable pivot strategies); each algorithm
-module contributes its pivot rule and keeps its historical SPMD entry
-point.
+module contributes only its pivot rule. One launch program,
+:class:`SelectionProgram`, runs every selection: one target rank is the
+``q = 1`` case of multiple selection.
 
-Registry keys (used by :func:`repro.select` and the bench harness):
+Registry keys (used by :class:`~repro.core.plan.SelectionPlan` and the
+bench harness):
 
 =========================  ==============================================
 ``median_of_medians``      Algorithm 1 (deterministic; needs balancing)
@@ -17,88 +19,123 @@ Registry keys (used by :func:`repro.select` and the bench harness):
 ``sort_based``                related-work baseline: full sort + index
 =========================  ==============================================
 
-:data:`STRATEGIES` maps the same keys to pivot-strategy factories for the
-multi-rank path (:func:`repro.multi_select`); ``sort_based`` is handled
-specially there (one full sort answers every rank).
+:data:`ALGORITHM_SPECS` holds each key's facts; :data:`ALGORITHMS` names
+every key and :data:`STRATEGIES` the keys that run the contraction engine
+(all but ``sort_based``, where one full sort answers every rank).
 """
 
-from .base import (
-    Decision,
-    IterationRecord,
-    SelectionConfig,
-    SelectionStats,
-    decide_side,
-    endgame,
-    endgame_threshold,
-)
-from .bucket_based import BucketStrategy, bucket_based_select
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
+
+from ..kernels.select import SelectMethod
+from ..machine.engine import ProcContext
+from .base import IterationRecord, SelectionConfig, SelectionStats, endgame_threshold
+from .bucket_based import BucketStrategy
 from .engine import (
     ContractionEngine,
     MultiSelectionStats,
     PivotStrategy,
     contract_multi_select,
-    contract_select,
 )
-from .fast_randomized import (
-    FastRandomizedParams,
-    FastRandomizedStrategy,
-    fast_randomized_select,
-)
-from .hybrid import hybrid_bucket_based_select, hybrid_median_of_medians_select
-from .median_of_medians import MedianOfMediansStrategy, median_of_medians_select
-from .randomized import RandomizedStrategy, randomized_select
-from .sort_based import sort_based_multi_select, sort_based_select
+from .fast_randomized import FastRandomizedParams, FastRandomizedStrategy
+from .median_of_medians import MedianOfMediansStrategy
+from .randomized import RandomizedStrategy
+from .sort_based import sort_based_multi_select
 
-#: name -> (SPMD function, default sequential method, needs balancing)
-ALGORITHMS = {
-    "median_of_medians": (median_of_medians_select, "deterministic", True),
-    "bucket_based": (bucket_based_select, "deterministic", False),
-    "randomized": (randomized_select, "randomized", False),
-    "fast_randomized": (fast_randomized_select, "randomized", False),
-    "hybrid_median_of_medians": (hybrid_median_of_medians_select, "randomized", True),
-    "hybrid_bucket_based": (hybrid_bucket_based_select, "randomized", False),
-    "sort_based": (sort_based_select, "randomized", False),
+
+class AlgorithmSpec(NamedTuple):
+    """What the launch program and the plan need to know of one algorithm."""
+
+    #: ``fast_params -> PivotStrategy`` for the contraction engine; ``None``
+    #: for ``sort_based``.
+    strategy: Callable[[FastRandomizedParams | None], PivotStrategy] | None
+    #: The paper's sequential kernel for local medians and the endgame.
+    sequential_method: SelectMethod
+    #: Pivot guarantee assumes near-equal local counts: the plan's
+    #: ``balancer="default"`` pairs it with global exchange.
+    needs_balancing: bool
+
+
+#: name -> per-algorithm facts.
+ALGORITHM_SPECS: dict[str, AlgorithmSpec] = {
+    "median_of_medians": AlgorithmSpec(
+        lambda fast_params: MedianOfMediansStrategy(), "deterministic", True),
+    "bucket_based": AlgorithmSpec(
+        lambda fast_params: BucketStrategy(), "deterministic", False),
+    "randomized": AlgorithmSpec(
+        lambda fast_params: RandomizedStrategy(), "randomized", False),
+    "fast_randomized": AlgorithmSpec(FastRandomizedStrategy, "randomized",
+                                     False),
+    # Section 5's hybrids split each deterministic algorithm into its
+    # parallel part (combine local results across processors) and its
+    # sequential part (local selections), and swap the sequential kernels
+    # for randomized ones to see where the randomized algorithms' advantage
+    # comes from. They land between the two families: for large n most of
+    # the gap is sequential, for large p it is parallel. A hybrid is its
+    # parent's strategy with the randomized kernel whatever the plan asks
+    # (SelectionPlan.resolve forces it).
+    "hybrid_median_of_medians": AlgorithmSpec(
+        lambda fast_params: MedianOfMediansStrategy(), "randomized", True),
+    "hybrid_bucket_based": AlgorithmSpec(
+        lambda fast_params: BucketStrategy(), "randomized", False),
+    "sort_based": AlgorithmSpec(None, "randomized", False),
 }
 
-#: name -> pivot-strategy factory for the multi-rank contraction path.
-#: ``fast_params`` is only meaningful for the fast randomized strategy;
-#: the hybrids reuse their parent's strategy (the API layer swaps the
-#: sequential method, exactly as the single-rank hybrids do).
-STRATEGIES = {
-    "randomized": lambda fast_params=None: RandomizedStrategy(),
-    "median_of_medians": lambda fast_params=None: MedianOfMediansStrategy(),
-    "bucket_based": lambda fast_params=None: BucketStrategy(),
-    "fast_randomized": lambda fast_params=None: FastRandomizedStrategy(fast_params),
-    "hybrid_median_of_medians": lambda fast_params=None: MedianOfMediansStrategy(),
-    "hybrid_bucket_based": lambda fast_params=None: BucketStrategy(),
-}
+#: Every algorithm name a plan accepts.
+ALGORITHMS: tuple[str, ...] = tuple(ALGORITHM_SPECS)
+
+#: The algorithms that run the contraction engine (all but ``sort_based``).
+STRATEGIES: tuple[str, ...] = tuple(
+    name for name, spec in ALGORITHM_SPECS.items() if spec.strategy is not None
+)
+
+
+@dataclass(frozen=True)
+class SelectionProgram:
+    """The one SPMD selection program: every launch, one target or many.
+
+    ``program(ctx, shard, ks_sorted, cfg)`` answers every rank in
+    ``ks_sorted`` (ascending, distinct) over this rank's ``shard`` and
+    returns ``(values, MultiSelectionStats)`` on every rank. It carries the
+    algorithm *name* and resolves the strategy on the executing rank (the
+    factories are lambdas, which cannot cross a process boundary), so the
+    ``pool`` backend can ship it to its running workers.
+    """
+
+    algorithm: str
+    fast_params: FastRandomizedParams | None = None
+
+    def __call__(self, ctx: ProcContext, shard, ks_sorted: list[int],
+                 cfg: SelectionConfig) -> tuple[list, MultiSelectionStats]:
+        factory = ALGORITHM_SPECS[self.algorithm].strategy
+        if factory is None:
+            return sort_based_multi_select(ctx, shard, ks_sorted, cfg)
+        return contract_multi_select(
+            ctx, shard, ks_sorted, cfg, factory(self.fast_params),
+            algorithm=self.algorithm,
+        )
+
 
 __all__ = [
     "ALGORITHMS",
+    "ALGORITHM_SPECS",
     "STRATEGIES",
+    "AlgorithmSpec",
     "ContractionEngine",
-    "Decision",
     "IterationRecord",
     "MultiSelectionStats",
     "PivotStrategy",
     "SelectionConfig",
+    "SelectionProgram",
     "SelectionStats",
     "contract_multi_select",
-    "contract_select",
-    "decide_side",
-    "endgame",
     "endgame_threshold",
     "BucketStrategy",
     "FastRandomizedParams",
     "FastRandomizedStrategy",
     "MedianOfMediansStrategy",
     "RandomizedStrategy",
-    "bucket_based_select",
-    "fast_randomized_select",
-    "hybrid_bucket_based_select",
-    "hybrid_median_of_medians_select",
-    "median_of_medians_select",
-    "randomized_select",
     "sort_based_multi_select",
-    "sort_based_select",
 ]

@@ -3,16 +3,17 @@
 Every algorithm in Section 3 has the same skeleton: iterate, shrinking the
 set of live keys, while the global count exceeds ``p^2``; then gather the
 survivors on processor 0 and finish with sequential selection (the paper's
-final Steps). This module holds that skeleton's common pieces:
+final Steps). The contraction engine (:mod:`repro.selection.engine`) runs
+that skeleton; this module holds its common pieces:
 
-* :class:`SelectionConfig` — knobs shared by all algorithms (target rank,
-  balancer, sequential method, seeds, iteration guard);
+* :class:`SelectionConfig` — knobs shared by all algorithms (balancer,
+  sequential method, seeds, iteration guard);
 * :class:`IterationRecord` / :class:`SelectionStats` — per-iteration
   evidence (live counts, pivots, balance invocations) used by tests and the
   bench harness (e.g. to verify the O(log n) / O(log log n) iteration-count
-  claims);
-* :func:`endgame` — the ``Gather + sequential selection + Broadcast`` coda;
-* :func:`decide_side` — the 3-way Step 6 shared by Algorithms 1-3.
+  claims); ``SelectionStats`` is the one-rank report's stats block;
+* :func:`check_rank` / :func:`endgame_threshold` — the rank guard and the
+  paper's ``while (n > p^2)`` bound.
 """
 
 from __future__ import annotations
@@ -22,18 +23,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..balance.base import Balancer, NoBalance
-from ..errors import ConfigurationError, ConvergenceError
-from ..kernels.costed import CostedKernels
-from ..kernels.select import SelectMethod, select_cost
-from ..machine.engine import ProcContext
+from ..errors import ConfigurationError
+from ..kernels.select import SelectMethod
 
 __all__ = [
     "SelectionConfig",
     "IterationRecord",
     "SelectionStats",
-    "Decision",
-    "decide_side",
-    "endgame",
     "endgame_threshold",
     "check_rank",
 ]
@@ -116,7 +112,9 @@ class IterationRecord:
 
 @dataclass
 class SelectionStats:
-    """Aggregated run evidence (identical content on every rank)."""
+    """One target rank's run evidence: the stats block of a
+    :class:`~repro.core.reports.SelectionReport`, a per-rank view of the
+    launch's :class:`~repro.selection.engine.MultiSelectionStats`."""
 
     algorithm: str = ""
     n: int = 0
@@ -143,10 +141,6 @@ class SelectionStats:
         if not rec.successful:
             self.unsuccessful_iterations += 1
 
-    def mark_found_by_pivot(self) -> None:
-        """Engine hook: a target rank was resolved by a pivot hit."""
-        self.found_by_pivot = True
-
 
 def check_rank(n: int, k: int) -> None:
     if n <= 0:
@@ -160,60 +154,3 @@ def endgame_threshold(cfg: SelectionConfig, p: int) -> int:
     if cfg.endgame_threshold is not None:
         return max(1, cfg.endgame_threshold)
     return max(1, p * p)
-
-
-@dataclass(frozen=True)
-class Decision:
-    """Outcome of Step 6: either the pivot is the answer, or one side
-    survives with an adjusted target rank."""
-
-    found: bool
-    keep_low: bool = False
-    new_n: int = 0
-    new_k: int = 0
-
-
-def decide_side(k: int, c_less: int, c_eq: int, n: int) -> Decision:
-    """3-way Step 6 (DESIGN.md deviation #1 handles duplicate pivots).
-
-    Ranks ``(c_less, c_less + c_eq]`` are occupied by keys equal to the
-    pivot, so the pivot *is* the answer there — the 2-way paper scheme only
-    has the ``<=``/``>`` split and livelocks when ``c_eq == n``.
-    """
-    if k <= c_less:
-        return Decision(found=False, keep_low=True, new_n=c_less, new_k=k)
-    if k <= c_less + c_eq:
-        return Decision(found=True)
-    return Decision(
-        found=False,
-        keep_low=False,
-        new_n=n - c_less - c_eq,
-        new_k=k - c_less - c_eq,
-    )
-
-
-def endgame(
-    ctx: ProcContext,
-    kernels: CostedKernels,
-    arr: np.ndarray,
-    k: int,
-    method: SelectMethod,
-    rng: np.random.Generator | None = None,
-    impl: SelectMethod | None = None,
-):
-    """Final Steps: Gather survivors on P0, select sequentially, Broadcast."""
-    gathered = ctx.comm.gather_concat_array(arr)
-    if ctx.rank == 0:
-        if gathered is None or gathered.size == 0:
-            raise ConvergenceError("endgame reached with no surviving keys")
-        if not (1 <= k <= gathered.size):
-            raise ConvergenceError(
-                f"endgame rank {k} inconsistent with {gathered.size} survivors"
-            )
-        ctx.charge_compute(select_cost(ctx.model, gathered.size, method))
-        from ..kernels.select import select_kth
-
-        value = select_kth(gathered, k, method=impl or method, rng=rng)
-    else:
-        value = None
-    return ctx.comm.broadcast(value, root=0)

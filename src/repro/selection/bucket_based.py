@@ -15,7 +15,7 @@ Deterministic like Algorithm 1, but engineered to *avoid load balancing*:
 The iterate-shrink-endgame skeleton lives in
 :mod:`repro.selection.engine`; this module contributes the pivot rule
 (:class:`BucketStrategy`: weighted median of (median, count) pairs) and the
-bucketed live-set preprocessing, plus the historical SPMD entry point.
+bucketed live-set preprocessing.
 
 Worst-case time (paper Table 2, no balancing):
 ``O(n/p (log log p + log n / log p) + tau log p log n + mu p log n)``.
@@ -27,11 +27,9 @@ import numpy as np
 
 from ..kernels.buckets import default_n_buckets
 from ..kernels.select import median_rank
-from ..machine.engine import ProcContext
-from .base import SelectionConfig, SelectionStats
-from .engine import BucketLive, PivotProposal, PivotStrategy, contract_select
+from .engine import BucketLive, PivotProposal, PivotStrategy
 
-__all__ = ["bucket_based_select", "BucketStrategy"]
+__all__ = ["BucketStrategy"]
 
 
 class BucketStrategy(PivotStrategy):
@@ -82,10 +80,3 @@ class BucketStrategy(PivotStrategy):
     @property
     def endgame_rng(self) -> np.random.Generator:
         return self.rng
-
-
-def bucket_based_select(
-    ctx: ProcContext, shard: np.ndarray, k: int, cfg: SelectionConfig
-) -> tuple[object, SelectionStats]:
-    """SPMD entry point for the bucket-based deterministic algorithm."""
-    return contract_select(ctx, shard, k, cfg, BucketStrategy())

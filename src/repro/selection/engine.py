@@ -25,15 +25,16 @@ single Gather + Broadcast regardless of how many intervals survive
 strategy brackets *all* targets of an interval from one sorted sample and
 splits multiway in one pass, cf. arXiv:1611.05549).
 
-Single-target runs reproduce the historical algorithms *exactly*: the same
-collective sequence per iteration (pinned by the pseudocode-fidelity
-tests), the same RNG streams, the same simulated charges, and the same
-:class:`~repro.selection.base.SelectionStats` evidence.
+A single target is the ``q = 1`` case: the same collective sequence per
+iteration as the paper's pseudocode boxes (pinned by the
+pseudocode-fidelity tests), so one target rank and a whole rank set go
+through the same program.
 
-Layout: this module owns the engine, the live-set representations and the
-strategy base class; each algorithm module owns its concrete strategy
-(``randomized.RandomizedStrategy`` etc.) plus its historical SPMD entry
-point, now a thin wrapper over :func:`contract_select`.
+Layout: this module owns the engine, the live-set representations, the
+strategy base class and :func:`contract_multi_select`; each algorithm
+module owns only its concrete strategy (``randomized.RandomizedStrategy``
+etc.), and :class:`repro.selection.SelectionProgram` is the one SPMD
+program that picks the strategy by name.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from ..machine.engine import ProcContext
 from .base import (
     IterationRecord,
     SelectionConfig,
-    SelectionStats,
     check_rank,
     endgame_threshold,
 )
@@ -66,7 +66,6 @@ __all__ = [
     "MultiSelectionStats",
     "PivotProposal",
     "PivotStrategy",
-    "contract_select",
     "contract_multi_select",
 ]
 
@@ -312,7 +311,7 @@ class ContractionEngine:
         ctx: ProcContext,
         cfg: SelectionConfig,
         strategy: PivotStrategy,
-        stats,
+        stats: MultiSelectionStats,
     ):
         self.ctx = ctx
         self.cfg = cfg
@@ -623,26 +622,10 @@ class ContractionEngine:
             self.results[idx] = v
         for iv in intervals:
             self.stats.endgame_n += iv.n
-        if hasattr(self.stats, "endgame_intervals"):
-            self.stats.endgame_intervals += len(intervals)
+        self.stats.endgame_intervals += len(intervals)
 
 
-# ------------------------------------------------------------ entry points
-
-def contract_select(
-    ctx: ProcContext,
-    shard: np.ndarray,
-    k: int,
-    cfg: SelectionConfig,
-    strategy: PivotStrategy,
-) -> tuple[object, SelectionStats]:
-    """Single-rank selection through the engine (the four classic SPMD
-    entry points delegate here)."""
-    stats = SelectionStats(algorithm=strategy.name, k=k)
-    engine = ContractionEngine(ctx, cfg, strategy, stats)
-    values = engine.run(np.asarray(shard), [k])
-    return values[0], stats
-
+# ------------------------------------------------------------ entry point
 
 def contract_multi_select(
     ctx: ProcContext,
@@ -655,15 +638,17 @@ def contract_multi_select(
     """Multi-rank selection: all of ``ks`` (sorted ascending, distinct) in
     one contraction.
 
-    On one processor the whole problem is sequential: skip the contraction
-    and run a single-pass multi-rank ``np.partition`` directly (charged at
-    ``multi_select_cost``) — the ``p = 1`` fast path.
+    On one processor, two or more targets skip the contraction: a
+    single-pass multi-rank ``np.partition`` (charged at
+    ``multi_select_cost``) answers them all — the ``p = 1`` fast path. One
+    target runs the algorithm itself, so a one-rank query on one processor
+    is priced as the paper's algorithm, not as the sequential kernel.
     """
     stats = MultiSelectionStats(
         algorithm=algorithm or strategy.name, ks=list(ks)
     )
     arr = np.asarray(shard)
-    if ctx.size == 1:
+    if ctx.size == 1 and len(ks) > 1:
         K = CostedKernels(ctx)
         n = int(arr.size)
         for k in ks:

@@ -10,7 +10,9 @@ A Combine of the split counts picks the surviving side.
 
 The iterate-shrink-endgame skeleton lives in
 :mod:`repro.selection.engine`; this module contributes only the pivot rule
-(:class:`MedianOfMediansStrategy`) and the historical SPMD entry point.
+(:class:`MedianOfMediansStrategy`). ``cfg.sequential_method`` is
+``"deterministic"`` for the paper's Algorithm 1 and ``"randomized"`` for
+the Section 5 hybrid.
 
 The algorithm *requires* load balancing between iterations (Step 7): its
 pivot guarantee assumes near-equal local counts. The paper's figures pair it
@@ -27,11 +29,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..kernels.select import median_rank, select_cost, select_kth
-from ..machine.engine import ProcContext
-from .base import SelectionConfig, SelectionStats
-from .engine import PivotProposal, PivotStrategy, contract_select
+from .engine import PivotProposal, PivotStrategy
 
-__all__ = ["median_of_medians_select", "MedianOfMediansStrategy"]
+__all__ = ["MedianOfMediansStrategy"]
 
 
 class MedianOfMediansStrategy(PivotStrategy):
@@ -76,14 +76,3 @@ class MedianOfMediansStrategy(PivotStrategy):
     @property
     def endgame_rng(self) -> np.random.Generator:
         return self.rng
-
-
-def median_of_medians_select(
-    ctx: ProcContext, shard: np.ndarray, k: int, cfg: SelectionConfig
-) -> tuple[object, SelectionStats]:
-    """SPMD entry point: every rank passes its shard; returns (value, stats).
-
-    ``cfg.sequential_method`` is ``"deterministic"`` for the paper's
-    Algorithm 1 and ``"randomized"`` for the Section 5 hybrid variant.
-    """
-    return contract_select(ctx, shard, k, cfg, MedianOfMediansStrategy())

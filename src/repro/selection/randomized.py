@@ -9,8 +9,7 @@ Combine decides the surviving side.
 
 The iterate-shrink-endgame skeleton lives in
 :mod:`repro.selection.engine`; this module contributes only the pivot rule
-(:class:`RandomizedStrategy`: prefix + shared draw + owner Combine) and the
-historical SPMD entry point.
+(:class:`RandomizedStrategy`: prefix + shared draw + owner Combine).
 
 Expected time without balancing on well-behaved data (paper Table 1):
 ``O(n/p + (tau + mu) log p log n)``. Load balancing is optional (Step 7) —
@@ -22,11 +21,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..machine.engine import ProcContext
-from .base import SelectionConfig, SelectionStats
-from .engine import PivotProposal, PivotStrategy, contract_select
+from .engine import PivotProposal, PivotStrategy
 
-__all__ = ["randomized_select", "RandomizedStrategy"]
+__all__ = ["RandomizedStrategy"]
 
 
 class _Nothing:
@@ -89,10 +86,3 @@ class RandomizedStrategy(PivotStrategy):
     @property
     def endgame_rng(self) -> np.random.Generator:
         return self.local_rng
-
-
-def randomized_select(
-    ctx: ProcContext, shard: np.ndarray, k: int, cfg: SelectionConfig
-) -> tuple[object, SelectionStats]:
-    """SPMD entry point for the randomized selection algorithm."""
-    return contract_select(ctx, shard, k, cfg, RandomizedStrategy())

@@ -232,12 +232,19 @@ class SelectionService:
         name. ``data`` may be a :class:`~repro.core.array.DistributedArray`
         (or :class:`~repro.stream.stream.StreamingArray`) already on this
         service's machine, or any 1-D host array — which is distributed
-        for you. Returns the registered distributed array."""
+        for you. Returns the registered distributed array. A name already
+        registered raises :class:`ConfigurationError` and replaces
+        nothing."""
         from ..core.array import DistributedArray
 
         if not isinstance(name, str) or not name:
             raise ConfigurationError(
                 f"array name must be a non-empty string, got {name!r}"
+            )
+        if name in self._arrays:
+            raise ConfigurationError(
+                f"an array is already registered as {name!r} "
+                "(unregister it first to replace it)"
             )
         if not hasattr(data, "shards"):
             data = self.machine.distribute(np.asarray(data))

@@ -18,7 +18,7 @@ Three pieces, layered over the batch core:
   plain path.
 """
 
-from .refine import execute_sketch_multi_select, execute_sketch_select
+from .refine import execute_sketch_multi_select
 from .sketch import QuantileSketch, merge_all
 from .stream import WINDOW_MODES, StreamingArray
 
@@ -27,6 +27,5 @@ __all__ = [
     "StreamingArray",
     "WINDOW_MODES",
     "execute_sketch_multi_select",
-    "execute_sketch_select",
     "merge_all",
 ]

@@ -33,8 +33,8 @@ layer's one-launch accounting is untouched:
    a plain ``select``/``multi_select`` over the full array; the pre-filter
    only removed keys that provably cannot hold any target rank.
 
-``execute_sketch_select`` / ``execute_sketch_multi_select`` mirror the
-launch primitives of :mod:`repro.core.session` and are what
+``execute_sketch_multi_select`` mirrors the launch primitive of
+:mod:`repro.core.session` (one target rank or many) and is what
 ``SelectionPlan(prefilter="sketch")`` routes to.
 """
 
@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from ..core.plan import validate_targets
-from ..core.reports import MultiSelectionReport, PrefilterStats, SelectionReport
+from ..core.reports import MultiSelectionReport, PrefilterStats
 from ..kernels.costed import CostedKernels
 from .sketch import QuantileSketch, merge_all
 
@@ -54,7 +54,6 @@ if TYPE_CHECKING:
     from ..core.plan import SelectionPlan
 
 __all__ = [
-    "execute_sketch_select",
     "execute_sketch_multi_select",
     "candidate_intervals",
 ]
@@ -175,7 +174,7 @@ def _rounds_saved(n: int, survivors: int) -> int:
 
 
 # --------------------------------------------------------------------------
-# Launch primitives (mirror core.session.execute_select / execute_multi_select)
+# Launch primitive (mirrors core.session.execute_multi_select)
 # --------------------------------------------------------------------------
 
 
@@ -187,70 +186,24 @@ def _prebuilt_sketches(data: "DistributedArray", eps: float):
     return sketches(eps), True
 
 
-def execute_sketch_select(
-    data: "DistributedArray", k: int, plan: "SelectionPlan"
-) -> SelectionReport:
-    """One sketch-prefiltered single-rank launch (exact; value
-    bit-identical to :func:`repro.core.session.execute_select`).
-
-    Resolution, validation and report assembly are the *same code* as the
-    plain path (:mod:`repro.core.session` helpers); only the SPMD program
-    body — summarise, merge, pre-filter, then the same algorithm entry
-    point over the survivors — differs.
-    """
-    from ..core import session as core_session
-
-    fn, cfg, balancer_name, extra = core_session.resolve_single(plan)
-    eps = plan.sketch_eps
-    prebuilt, amortised = _prebuilt_sketches(data, eps)
-
-    def program(ctx, shard, local_sk, target_k, config):
-        K = CostedKernels(ctx)
-        merged = _merged_sketch(
-            ctx, K, _local_sketch(ctx, K, shard, eps, local_sk), eps
-        )
-        intervals = candidate_intervals(merged, [target_k])
-        survivors, adjusted, n_surv = _prefilter(ctx, K, shard, intervals)
-        if survivors is None:
-            value, stats = fn(ctx, shard, target_k, config, *extra)
-            fallback = True
-        else:
-            value, stats = fn(ctx, survivors, adjusted[0], config, *extra)
-            fallback = False
-        stats.prefilter = _evidence(
-            eps, merged, intervals, n_surv, fallback, amortised
-        )
-        return value, stats
-
-    result = data.machine.run(
-        program,
-        rank_args=[(s, sk) for s, sk in zip(data.shards, prebuilt)],
-        args=(k, cfg),
-        backend=plan.backend,
-        topology=plan.topology,
-        trace=plan.trace,
-    )
-    return core_session.finish_select(data, k, plan, balancer_name, result)
-
-
 def execute_sketch_multi_select(
     data: "DistributedArray", ks: Sequence[int], plan: "SelectionPlan"
 ) -> MultiSelectionReport:
-    """One sketch-prefiltered batched launch (exact; values bit-identical
-    to :func:`repro.core.session.execute_multi_select`).
+    """One sketch-prefiltered launch (exact; values bit-identical to
+    :func:`repro.core.session.execute_multi_select`).
 
     Per-target brackets merge into disjoint candidate intervals; because
     the intervals are value-ordered and disjoint, the survivor multiset's
     sorted order is the intervals in sequence, so each target's re-based
     rank is its in-interval rank plus the sizes of the intervals before it
-    — ONE contraction over the union answers everything. Validation, the
-    empty-set report, the per-algorithm runner and the report assembly are
-    shared with the plain path (:mod:`repro.core.session` helpers).
+    — ONE run of the selection program over the union answers everything.
+    Validation, the empty-set report, the program and the report assembly
+    are shared with the plain path (:mod:`repro.core.session` helpers).
     """
     from ..core import session as core_session
 
     ks = validate_targets(ks, data.n)
-    cfg, balancer_name, runner = core_session.resolve_multi(plan)
+    selection, cfg, balancer_name = plan.resolve()
     if not ks:
         return core_session.empty_multi_report(data, plan, balancer_name)
     unique_ks = sorted(set(ks))
@@ -265,10 +218,10 @@ def execute_sketch_multi_select(
         intervals = candidate_intervals(merged, ks_sorted)
         survivors, adjusted, n_surv = _prefilter(ctx, K, shard, intervals)
         if survivors is None:
-            values, stats = runner(ctx, shard, ks_sorted, config)
+            values, stats = selection(ctx, shard, ks_sorted, config)
             fallback = True
         else:
-            values, stats = runner(ctx, survivors, adjusted, config)
+            values, stats = selection(ctx, survivors, adjusted, config)
             fallback = False
         stats.prefilter = _evidence(
             eps, merged, intervals, n_surv, fallback, amortised

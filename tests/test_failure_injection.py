@@ -173,10 +173,10 @@ class TestEveryBackendFailsClean:
                 raise ZeroDivisionError("poisoned shard")
             # Healthy ranks enter the selection engine and block at its
             # first collective; the abort must unwind them.
-            from repro.selection import SelectionConfig, randomized_select
+            from repro.selection import SelectionConfig, SelectionProgram
 
-            return randomized_select(
-                ctx, shard.copy(), 1, SelectionConfig(seed=0)
+            return SelectionProgram("randomized")(
+                ctx, shard.copy(), [1], SelectionConfig(seed=0)
             )
 
         threads_before = threading.active_count()

@@ -15,13 +15,14 @@ iteration would fail here.
 
 
 import repro
-from repro.selection import ALGORITHMS, SelectionConfig
+from repro.selection import ALGORITHM_SPECS, SelectionConfig, SelectionProgram
 
 
 def traced_run(algo, n=20_000, p=4, seed=0, balancer=None, dist="random"):
     machine = repro.Machine(n_procs=p, trace=True)
     data = machine.generate(n, distribution=dist, seed=seed)
-    fn, default_seq, _ = ALGORITHMS[algo]
+    selection = SelectionProgram(algo)
+    default_seq = ALGORITHM_SPECS[algo].sequential_method
     from repro.balance import get_balancer
 
     cfg = SelectionConfig(
@@ -31,10 +32,10 @@ def traced_run(algo, n=20_000, p=4, seed=0, balancer=None, dist="random"):
     )
 
     def program(ctx, shard):
-        return fn(ctx, shard.copy(), (n + 1) // 2, cfg)
+        return selection(ctx, shard.copy(), [(n + 1) // 2], cfg)
 
     result = machine.run(program, rank_args=[(s,) for s in data.shards])
-    value, stats = result.values[0]
+    values, stats = result.values[0]
     return result.tracer, stats
 
 

@@ -145,6 +145,17 @@ class TestValidationAndRegistry:
         with pytest.raises(repro.ConfigurationError):
             svc.unregister("h")
 
+    def test_duplicate_name_rejected_and_nothing_replaced(self, machine):
+        async def main():
+            async with SelectionService(machine, window=0.001) as svc:
+                svc.register("d", np.arange(100.0))
+                with pytest.raises(repro.ConfigurationError,
+                                   match="already registered"):
+                    svc.register("d", np.arange(100.0) + 1000)
+                return (await svc.median("d")).value
+
+        assert run(main()) == 49.0
+
     def test_foreign_machine_rejected(self, machine):
         other = repro.Machine(n_procs=2)
         svc = SelectionService(machine)
