@@ -8,18 +8,35 @@ executes, and lazily carries a **default session** — the cached
 A :class:`DistributedArray` is a 1-D array block-distributed over the
 machine's processors. Its shards are **immutable**: the library owns them,
 holds them in a tuple and marks each one read-only, so an in-place write
-raises NumPy's ``ValueError`` instead of going unseen. It carries a
-lazily-computed content **fingerprint** (the cache/coalescing identity:
-two arrays with equal content and layout share cached results), and grows
-fluent query methods — ``data.select(k)``, ``data.median()``,
+raises NumPy's ``ValueError`` instead of going unseen. It grows fluent
+query methods — ``data.select(k)``, ``data.median()``,
 ``data.quantiles(qs)``, ``data.multi_select(ks)`` — that route through the
 machine's default session, so repeated traffic against the same array is
 served from cache without relaunching.
+
+**Cache identity.** The session cache and flush grouping key an array by
+its :attr:`~DistributedArray.identity`, which pays for a content hash only
+when two live arrays could be content-equal. Resolving it, once per array,
+builds a cheap *sample key* (shard count, each shard's dtype and size, and
+64 evenly spaced keys of each shard). The first live array with a given
+sample key gets a provisional identity, unique for the process, and is
+never hashed.
+A later array arriving while one with the same sample key is alive hashes
+both (the SHA-1 :attr:`~DistributedArray.fingerprint`): it takes the
+earlier array's identity on a full-hash match, and its own SHA-1
+otherwise. So content-equal arrays share answers and launches while an
+earlier one is alive, and content distributed again after every earlier
+copy was collected launches again. A sample-key match alone never shares
+anything.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
+import threading
+import weakref
+from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -51,6 +68,67 @@ def check_ordered_keys(keys: np.ndarray) -> None:
         raise ConfigurationError(
             "keys contain NaN; selection needs totally ordered keys"
         )
+
+
+#: Keys sampled per shard for the sample key (first and last included).
+_SAMPLE_POINTS = 64
+
+#: Provisional identities, unique for the process (never reused, unlike
+#: ``id()`` after a collection).
+_PROVISIONAL = itertools.count()
+
+
+def _sample_key(shards: Sequence[np.ndarray]) -> tuple:
+    """Shard count, each shard's dtype and size, and the bytes of
+    ``_SAMPLE_POINTS`` evenly spaced keys of each shard: microseconds to
+    build, equal for content-equal arrays."""
+    return (len(shards),) + tuple(
+        (s.dtype.str, s.size, s[np.linspace(
+            0, s.size - 1, min(_SAMPLE_POINTS, s.size), dtype=np.intp
+        )].tobytes())
+        for s in shards
+    )
+
+
+class _IdentityRegistry:
+    """One machine's live arrays by sample key, weakly referenced.
+
+    ``resolve`` runs under a lock, because a serving flush thread resolves
+    identities too. A collected array's reference queues itself on
+    ``_dead`` (a deque append needs no lock, so a collection inside the
+    lock cannot deadlock) and the next ``resolve`` drops it.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._live: dict[tuple, list[weakref.KeyedRef]] = {}
+        self._dead: deque[weakref.KeyedRef] = deque()
+
+    def resolve(self, array: "DistributedArray") -> str:
+        with self._lock:
+            if array._identity is not None:
+                return array._identity
+            while self._dead:
+                dead = self._dead.popleft().key
+                refs = [r for r in self._live.get(dead, ()) if r() is not None]
+                if refs:
+                    self._live[dead] = refs
+                else:
+                    self._live.pop(dead, None)
+            key = _sample_key(array.shards)
+            peers = [a for a in (r() for r in self._live.get(key, ()))
+                     if a is not None]
+            if peers:
+                fp = array.fingerprint
+                identity = next((peer.identity for peer in peers
+                                 if peer.fingerprint == fp), fp)
+            else:
+                identity = f"provisional:{next(_PROVISIONAL)}"
+            self._live.setdefault(key, []).append(
+                weakref.KeyedRef(array, self._dead.append, key)
+            )
+            array._identity = identity
+            return identity
 
 
 class Machine:
@@ -91,6 +169,7 @@ class Machine:
             trace=trace, backend=backend, topology=topology,
         )
         self._default_session: "Session | None" = None
+        self._identities = _IdentityRegistry()
 
     @property
     def n_procs(self) -> int:
@@ -261,6 +340,9 @@ class DistributedArray:
     _fingerprint: str | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    _identity: str | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.shards = tuple(self.shards)
@@ -299,10 +381,20 @@ class DistributedArray:
     # ------------------------------------------------------------- identity
 
     @property
+    def identity(self) -> str:
+        """The cache/coalescing key of this array, resolved once through
+        the machine's identity registry (see the module docstring): a
+        provisional identity unless a live array shares its sample key,
+        and a full-hash comparison otherwise."""
+        if self._identity is None:
+            return self.machine._identities.resolve(self)
+        return self._identity
+
+    @property
     def fingerprint(self) -> str:
-        """Content + layout hash: the cache/coalescing identity of this
-        array, computed once over the shard bytes and memoised (the
-        shards are immutable)."""
+        """Content + layout SHA-1 over the shard bytes, computed once and
+        memoised (the shards are immutable). :attr:`identity` computes it
+        only when two live arrays share a sample key."""
         if self._fingerprint is None:
             h = hashlib.sha1()
             h.update(str(len(self.shards)).encode())

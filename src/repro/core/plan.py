@@ -9,7 +9,7 @@ raise :class:`~repro.errors.ConfigurationError` listing the available
 options), and is then reused across any number of queries. Plans are frozen
 and carry a stable :meth:`cache_key`, which is what lets a
 :class:`~repro.core.session.Session` coalesce queries and cache results
-per ``(array fingerprint, plan, rank)``.
+per ``(array identity, plan, rank)``.
 
 ``plan.resolve()`` builds the launch: the one selection program
 (:class:`~repro.selection.SelectionProgram`), its

@@ -10,17 +10,22 @@ batches:
   launches until :meth:`Session.flush` (or context-manager exit, or the
   first ``future.result()``).
 * **Coalescing.** ``flush()`` groups every pending rank query by
-  ``(array fingerprint, plan)`` and answers each group with ONE
+  ``(array identity, plan)`` and answers each group with ONE
   ``multi_select`` SPMD launch through the batched contraction engine —
   ``q`` same-array queries cost one launch, not ``q``.
-* **Result cache.** Answers are cached per ``(array fingerprint, plan,
+* **Result cache.** Answers are cached per ``(array identity, plan,
   rank)``; re-queried ranks are served with ZERO new launches (selection is
   deterministic per plan, so cached values *and* simulated metrics are
-  exactly what a relaunch would produce). An entry keeps the answer and a
-  slim launch record (:class:`_LaunchMetrics`: the launch-wide metrics, the
-  critical rank's breakdown and rank 0's stats), never the launch's
-  per-rank ``SPMDResult`` — so a fresh-key workload grows the cache by one
-  rank's evidence per query, not ``p``. Reports served from cache set
+  exactly what a relaunch would produce). The identity
+  (:attr:`~repro.core.array.DistributedArray.identity`) hashes an array's
+  content only when another live array shares its sample key, so a fresh
+  array never pays a SHA-1; content-equal arrays share entries while an
+  earlier one is alive. A stream's identity is its incremental
+  fingerprint. An entry keeps the answer and a slim launch record
+  (:class:`_LaunchMetrics`: the launch-wide metrics, the critical rank's
+  breakdown and rank 0's stats), never the launch's per-rank
+  ``SPMDResult`` — so a fresh-key workload grows the cache by one rank's
+  evidence per query, not ``p``. Reports served from cache set
   ``cached=True`` and ``result=None``; every other field equals the
   originating report's.
 * **Immediate paths.** :meth:`run_select` / :meth:`run_multi_select` /
@@ -38,7 +43,7 @@ from __future__ import annotations
 import dataclasses
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
@@ -233,9 +238,13 @@ def execute_multi_select(
         from ..planner.planner import resolve_auto
 
         plan = resolve_auto(data, plan)
-    with get_recorder().span("query", kind="multi_select",
-                             algorithm=plan.algorithm, n=data.n, p=data.p,
-                             n_ks=len(ks)):
+    # A one-target launch is a rank query, and its span says so.
+    target: dict[str, Any] = (
+        dict(kind="select", k=ks[0]) if len(ks) == 1
+        else dict(kind="multi_select", n_ks=len(ks))
+    )
+    with get_recorder().span("query", algorithm=plan.algorithm, n=data.n,
+                             p=data.p, **target):
         if plan.prefilter == "sketch":
             from ..stream.refine import execute_sketch_multi_select
 
@@ -455,7 +464,7 @@ class Session:
     plan:
         Default :class:`SelectionPlan` for queries that do not carry one.
     cache:
-        Enable the result cache (per ``(array fingerprint, plan, rank)``).
+        Enable the result cache (per ``(array identity, plan, rank)``).
     max_cache_entries:
         LRU bound on cached ranks.
 
@@ -589,7 +598,7 @@ class Session:
     def flush(self) -> list:
         """Answer every pending query.
 
-        Pending queries are grouped by ``(array fingerprint, plan)``; each
+        Pending queries are grouped by ``(array identity, plan)``; each
         group's not-yet-cached ranks are answered by ONE batched
         ``multi_select`` SPMD launch, then every future is served from the
         (now warm) result cache. Returns the resolved futures.
@@ -605,14 +614,14 @@ class Session:
         self.stats.flushes += 1
         groups: OrderedDict[tuple, list[_Future]] = OrderedDict()
         for fut in pending:
-            key = (fut.data.fingerprint, fut.plan.cache_key())
+            key = (fut.data.identity, fut.plan.cache_key())
             groups.setdefault(key, []).append(fut)
         first_error: BaseException | None = None
         with get_recorder().span("session.flush", queries=len(pending),
                                  groups=len(groups)):
-            for (fp, plan_key), futs in groups.items():
+            for (identity, plan_key), futs in groups.items():
                 try:
-                    self._serve_group(fp, plan_key, futs)
+                    self._serve_group(identity, plan_key, futs)
                 except Exception as exc:
                     for fut in futs:
                         if fut._report is None:
@@ -623,23 +632,24 @@ class Session:
             raise first_error
         return pending
 
-    def _serve_group(self, fp: str, plan_key: tuple, futs: list[_Future],
+    def _serve_group(self, identity: str, plan_key: tuple,
+                     futs: list[_Future],
                      count_coalesced: bool = True) -> None:
         data, plan = futs[0].data, futs[0].plan
         needed = sorted({k for fut in futs for k in fut.ranks})
         with get_recorder().span("session.group", algorithm=plan.algorithm,
                                  queries=len(futs), ranks=len(needed)):
-            self._serve_group_inner(data, plan, fp, plan_key, futs, needed,
-                                    count_coalesced)
+            self._serve_group_inner(data, plan, identity, plan_key, futs,
+                                    needed, count_coalesced)
 
-    def _serve_group_inner(self, data, plan, fp: str, plan_key: tuple,
+    def _serve_group_inner(self, data, plan, identity: str, plan_key: tuple,
                            futs: list[_Future], needed: list[int],
                            count_coalesced: bool) -> None:
         entries: dict[int, _CacheEntry] = {}
         hit_ks: set[int] = set()
         missing: list[int] = []
         for k in needed:
-            entry = self._cache_get(("multi", fp, plan_key, k))
+            entry = self._cache_get(("multi", identity, plan_key, k))
             if entry is None:
                 missing.append(k)
             else:
@@ -657,7 +667,7 @@ class Session:
             for k, value in zip(missing, multi.values):
                 entry = _CacheEntry(value=value, metrics=launched)
                 entries[k] = entry
-                self._cache_put(("multi", fp, plan_key, k), entry)
+                self._cache_put(("multi", identity, plan_key, k), entry)
         for fut in futs:
             if count_coalesced:
                 self.stats.coalesced_queries += 1
@@ -717,7 +727,7 @@ class Session:
         self.stats.queries += 1
         key = None
         if self.cache_enabled:
-            key = ("select", data.fingerprint, plan.cache_key(), int(k))
+            key = ("select", data.identity, plan.cache_key(), int(k))
             hit = self._cache_get(key)
             if hit is not None:
                 self.stats.cache_hits += 1
@@ -757,7 +767,7 @@ class Session:
             self, data, validate_targets(ks, data.n), plan
         )
         # Not a coalesced deferred query: keep it out of that counter.
-        self._serve_group(data.fingerprint, plan.cache_key(), [fut],
+        self._serve_group(data.identity, plan.cache_key(), [fut],
                           count_coalesced=False)
         return fut._report
 

@@ -22,9 +22,10 @@ class CostedKernels:
     """Sequential kernels bound to one rank's clock and cost model.
 
     Each method charges its pass before running it. The 3-way splits
-    return a :class:`~repro.kernels.partition.Partition3`, whose sides are
-    gathered on first read: the charge covers the whole partition pass
-    whichever sides the caller reads.
+    return a :class:`~repro.kernels.partition.Partition3` and the multiway
+    split a :class:`~repro.kernels.partition.MultiwaySplit`, whose parts
+    are gathered on first read: the charge covers the whole partition pass
+    whichever parts the caller reads.
     """
 
     def __init__(self, ctx: ProcContext):
@@ -49,7 +50,8 @@ class CostedKernels:
         self.ctx.charge_compute(_partition.partition_cost(self.model, arr.size))
         return _partition.partition_band(arr, lo, hi)
 
-    def partition_multiway(self, arr: np.ndarray, cuts) -> list[np.ndarray]:
+    def partition_multiway(self, arr: np.ndarray,
+                           cuts) -> _partition.MultiwaySplit:
         self.ctx.charge_compute(
             _partition.partition_multiway_cost(self.model, arr.size, len(cuts))
         )

@@ -10,7 +10,8 @@ demonstrates the livelock on duplicate-heavy inputs.
 The 3-way split is one operation whether it runs around a pivot (Steps 4/5)
 or a sample bracket (Algorithm 4's Step 5): :class:`Partition3` counts its
 sides up front and gathers each one on first read, so a caller that keeps
-one side pays for one gather.
+one side pays for one gather. The multiway split (:class:`MultiwaySplit`)
+works the same way over its ``2c + 1`` segments.
 
 All kernels are single NumPy passes (boolean masks) per the hpc-parallel
 guide: no Python-level loops over elements.
@@ -26,6 +27,7 @@ from ..errors import ConfigurationError
 from ..machine.cost_model import CostModel
 
 __all__ = [
+    "MultiwaySplit",
     "Partition2",
     "Partition3",
     "partition2",
@@ -134,7 +136,63 @@ def partition_cost(model: CostModel, n: int) -> float:
 _COMPARE_MAX_CUTS = 16
 
 
-def partition_multiway(arr: np.ndarray, cuts) -> list[np.ndarray]:
+class MultiwaySplit:
+    """The ``2c + 1`` segments of ``arr`` split at ``c`` sorted cuts.
+
+    Behaves as a sequence of arrays (``len``, iteration, integer indexing)
+    and holds every segment's size in ``counts`` (int64), computed up
+    front. Segment ``j`` is gathered on first read and then kept, so a
+    caller that keeps the segments holding targets pays for those gathers
+    alone. A segment keeps ``arr``'s dtype and element order.
+
+    One cut keeps the two comparison masks, as :class:`Partition3` does;
+    more cuts keep one small unsigned label per key (see
+    :func:`partition_multiway`), and segment ``j`` is the keys labelled
+    ``j``.
+    """
+
+    __slots__ = ("_arr", "_lt", "_le", "_labels", "_segs", "counts")
+
+    def __init__(self, arr: np.ndarray, cuts: np.ndarray, nan_cut: bool):
+        self._arr = arr
+        self._lt = self._le = self._labels = None
+        if cuts.size == 1 and not nan_cut:
+            self._lt = arr < cuts[0]
+            self._le = arr <= cuts[0]
+            n_lt = np.count_nonzero(self._lt)
+            n_le = np.count_nonzero(self._le)
+            self.counts = np.array([n_lt, n_le - n_lt, arr.size - n_le],
+                                   dtype=np.int64)
+        else:
+            self._labels, self.counts = _segment_labels(arr, cuts, nan_cut)
+        self._segs: list[np.ndarray | None] = [None] * self.counts.size
+
+    def __len__(self) -> int:
+        return len(self._segs)
+
+    def __getitem__(self, j: int) -> np.ndarray:
+        j = range(len(self._segs))[j]  # negative indices, IndexError
+        seg = self._segs[j]
+        if seg is None:
+            # np.compress (nonzero + take) beats boolean indexing on
+            # unpredictable masks.
+            seg = self._segs[j] = np.compress(self._mask(j), self._arr)
+        return seg
+
+    def __iter__(self):
+        return (self[j] for j in range(len(self._segs)))
+
+    def _mask(self, j: int) -> np.ndarray:
+        if self._labels is not None:
+            return self._labels == j
+        if j == 0:
+            return self._lt
+        if j == 1:
+            return self._le & ~self._lt
+        return ~self._le
+
+
+def partition_multiway(arr: np.ndarray, cuts) -> MultiwaySplit:
     """Split ``arr`` at ``c`` sorted cut values into ``2c + 1`` segments.
 
     Segments alternate open ranges and equality bands, in value order::
@@ -148,11 +206,14 @@ def partition_multiway(arr: np.ndarray, cuts) -> list[np.ndarray]:
     a single pass (one iteration of single-pass multi-rank selection
     instead of one pass per pivot).
 
-    Host cost is linear in ``arr``: each key gets its segment index in the
-    smallest unsigned dtype that holds ``2c``, and a stable argsort of those
-    small labels (a radix sort) groups the segments, keeping the original
-    element order within each. One cut needs no labels: three mask gathers
-    do the same job, in the same order.
+    Returns a :class:`MultiwaySplit`: the segment counts now, each
+    segment's keys on first read. Host cost up front is linear in ``arr``:
+    each key gets its segment index in the smallest unsigned dtype that
+    holds ``2c``, from ``2c`` vectorised compares (whose counts give the
+    segment counts) up to 16 cuts or a ``searchsorted`` pair and a
+    ``bincount`` above. Reading segment ``j`` gathers the keys labelled
+    ``j``, in their original order. One cut needs no labels: two masks
+    give the counts and the three gathers.
     """
     cuts = np.asarray(cuts)
     if cuts.ndim != 1 or cuts.size == 0:
@@ -163,45 +224,44 @@ def partition_multiway(arr: np.ndarray, cuts) -> list[np.ndarray]:
         raise ConfigurationError(
             "cut values must be strictly ascending (dedupe first)"
         )
-    n_segs = 2 * cuts.size + 1
     # A NaN cut sorts last for searchsorted but compares false, so only
     # the searchsorted labels reproduce its segments.
     nan_cut = cuts.dtype.kind in "fc" and bool(np.isnan(cuts).any())
-    if cuts.size == 1 and not nan_cut:
-        # np.compress (nonzero + take) beats boolean indexing on
-        # unpredictable masks.
-        lt = arr < cuts[0]
-        le = arr <= cuts[0]
-        return [np.compress(lt, arr), np.compress(le & ~lt, arr), np.compress(~le, arr)]
-    seg = _segment_labels(arr, cuts, nan_cut)
-    order = np.argsort(seg, kind="stable")
-    bounds = np.concatenate([[0], np.cumsum(np.bincount(seg, minlength=n_segs))])
-    grouped = arr[order]
-    return [grouped[bounds[j]: bounds[j + 1]] for j in range(n_segs)]
+    return MultiwaySplit(arr, cuts, nan_cut)
 
 
-def _segment_labels(arr: np.ndarray, cuts: np.ndarray, nan_cut: bool) -> np.ndarray:
-    """``#(cuts < x) + #(cuts <= x)`` for every key ``x``: an element
-    strictly between cuts j-1 and j gets 2j, one equal to ``cuts[j]`` gets
-    2j + 1, and a NaN key gets ``2c`` (last), as ``searchsorted`` places it."""
+def _segment_labels(arr: np.ndarray, cuts: np.ndarray,
+                    nan_cut: bool) -> tuple[np.ndarray, np.ndarray]:
+    """``#(cuts < x) + #(cuts <= x)`` for every key ``x``, and the int64
+    count of each label. An element strictly between cuts j-1 and j gets
+    2j, one equal to ``cuts[j]`` gets 2j + 1, and a NaN key gets ``2c``
+    (last), as ``searchsorted`` places it."""
+    n_segs = 2 * cuts.size + 1
     dtype = np.min_scalar_type(2 * cuts.size)
     if cuts.size > _COMPARE_MAX_CUTS or nan_cut:
-        return (
+        seg = (
             np.searchsorted(cuts, arr, side="left")
             + np.searchsorted(cuts, arr, side="right")
         ).astype(dtype)
+        return seg, np.bincount(seg, minlength=n_segs).astype(np.int64)
     # Count down from 2c: a NaN key fails every compare and stays last.
+    # Each compare's count is where a segment ends: #(x < cuts[j]) ends
+    # segment 2j and #(x <= cuts[j]) ends segment 2j + 1.
     seg = np.full(arr.shape, 2 * cuts.size, dtype=dtype)
     hit = np.empty(arr.shape, dtype=bool)
-    for cut in cuts:
+    ends = np.full(n_segs, arr.size, dtype=np.int64)
+    for j, cut in enumerate(cuts):
         seg -= np.less_equal(arr, cut, out=hit).view(np.uint8)
+        ends[2 * j + 1] = np.count_nonzero(hit)
         seg -= np.less(arr, cut, out=hit).view(np.uint8)
-    return seg
+        ends[2 * j] = np.count_nonzero(hit)
+    return seg, np.diff(ends, prepend=0)
 
 
 def partition_multiway_cost(model: CostModel, n: int, n_cuts: int) -> float:
     """Simulated cost of a multiway partition pass: each of the ``n``
     elements binary-searches the ``c`` cut values (``ceil(log2(c + 1))``
-    probe depth) and is moved once."""
+    probe depth) and is moved once. This prices the paper's full pass,
+    whichever segments of the :class:`MultiwaySplit` the host gathers."""
     depth = max(1.0, np.ceil(np.log2(max(n_cuts, 1) + 1)))
     return model.compute.partition * max(0, n) * depth

@@ -518,19 +518,18 @@ class ContractionEngine:
     def _apply_multicut(self, iv: _Interval, cuts, queue: list) -> None:
         """Fork one interval at several cut values in a single local pass.
 
-        ``partition_multiway`` yields ``2c + 1`` value-ordered segments
-        (open ranges alternating with ``==`` bands); one Combine of the
-        segment counts places every target. Targets landing in an ``==``
-        band resolve immediately; segments holding no targets are
-        discarded wholesale — they lie *between* requested ranks.
+        ``partition_multiway`` splits into ``2c + 1`` value-ordered
+        segments (open ranges alternating with ``==`` bands) and counts
+        them; one Combine of the counts places every target. Targets
+        landing in an ``==`` band resolve immediately; only the segments
+        holding targets are gathered, and the rest are discarded wholesale
+        — they lie *between* requested ranks.
         """
         n_before, ni = iv.n, iv.live.count
         k_first = iv.targets[0].k
         cuts = np.asarray(cuts)
         segs = self.K.partition_multiway(iv.live.arr, cuts)
-        counts = self.ctx.comm.combine(
-            np.array([s.size for s in segs], dtype=np.int64)
-        )
+        counts = self.ctx.comm.combine(segs.counts)
         cum = np.concatenate([[0], np.cumsum(counts)])
 
         by_seg: dict[int, list[_Target]] = {}

@@ -5,7 +5,7 @@ queued when *that caller* decides to flush. A **service** turns the same
 machinery into a long-running, shared front door: many tenants submit
 quantile / rank / multi-rank queries concurrently from asyncio tasks, the
 service holds them in a short **coalescing window**, groups everything
-pending by ``(array fingerprint, plan)`` exactly like a session flush, and
+pending by ``(array identity, plan)`` exactly like a session flush, and
 answers each group with ONE batched SPMD launch on the shared
 :class:`~repro.core.array.Machine` — resolving every caller's
 ``asyncio.Future`` individually.

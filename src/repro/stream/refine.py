@@ -128,12 +128,11 @@ def _prefilter(ctx, K: CostedKernels, shard: np.ndarray,
     else:
         bounds = [b for lo, hi, _t in intervals for b in (lo, hi)]
         cuts = np.unique(np.asarray(bounds))
-        # partition_multiway yields 2c+1 value-ordered segments
-        # alternating open ranges with equality bands: segment 2i+1 is
-        # ``== cuts[i]``.
+        # partition_multiway splits into 2c+1 value-ordered segments
+        # alternating open ranges with equality bands (segment 2i+1 is
+        # ``== cuts[i]``); only the non-empty in-interval ones are gathered.
         segs = K.partition_multiway(shard, cuts)
-        sizes = [s.size for s in segs]
-        cum = np.concatenate([[0], np.cumsum(sizes)])
+        cum = np.concatenate([[0], np.cumsum(segs.counts)])
         for lo, hi, _targets in intervals:
             li = int(np.searchsorted(cuts, lo))
             hi_i = int(np.searchsorted(cuts, hi))
@@ -141,7 +140,8 @@ def _prefilter(ctx, K: CostedKernels, shard: np.ndarray,
             local_counts.extend(
                 (int(cum[first]), int(cum[last + 1] - cum[first]))
             )
-            mids = [s for s in segs[first: last + 1] if s.size]
+            mids = [segs[j] for j in range(first, last + 1)
+                    if segs.counts[j]]
             survivor_parts.append(
                 np.concatenate(mids) if mids else shard[:0]
             )

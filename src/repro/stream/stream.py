@@ -15,8 +15,9 @@ batches:
   like every :class:`~repro.core.array.DistributedArray` shard: only an
   append or a retirement changes the content.
 * **Incremental fingerprint.** The array's cache identity (what
-  :class:`~repro.core.session.Session` keys its result cache on) updates
-  in ``O(batch)`` per mutation, never ``O(n)``. Append-only streams feed
+  :class:`~repro.core.session.Session` keys its result cache on) is its
+  fingerprint, not a provisional identity, and it updates in ``O(batch)``
+  per mutation, never ``O(n)``. Append-only streams feed
   one running SHA-1 per rank with each append's slice, so equal live
   content (however batched) gives equal fingerprints; after the first
   retirement the identity switches to chaining the live batches'
@@ -269,6 +270,13 @@ class StreamingArray(DistributedArray):
         return value
 
     # ------------------------------------------------------------ identity
+
+    @property
+    def identity(self) -> str:
+        """The cache/coalescing key: the incremental :attr:`fingerprint`,
+        read afresh on every call (an append or retirement changes it, so
+        it is never memoised on the object)."""
+        return self.fingerprint
 
     @property
     def fingerprint(self) -> str:

@@ -292,6 +292,82 @@ class TestPartitionMultiway:
         assert one == CM5.compute.partition * 1000
 
 
+class TestLazySegments:
+    """Callers of the multiway split gather only the segments they keep."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        from repro.kernels.costed import CostedKernels
+
+        calls = []
+        real = CostedKernels.partition_multiway
+
+        def spy(self, arr, cuts):
+            split = real(self, arr, cuts)
+            calls.append((self.ctx.rank, np.asarray(cuts), split))
+            return split
+
+        monkeypatch.setattr(CostedKernels, "partition_multiway", spy)
+        return calls
+
+    @staticmethod
+    def _read(split):
+        return {j for j, seg in enumerate(split._segs) if seg is not None}
+
+    def test_multicut_gathers_only_target_segments(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        machine = repro.Machine(n_procs=2, backend="threaded")
+        data = machine.generate(20_000, distribution="random", seed=3)
+        ks = [2_000, 10_000, 19_000]
+        rep = data.multi_select(ks, algorithm="fast_randomized", seed=1)
+        answers = np.sort(data.gather())[np.array(ks) - 1]
+        assert rep.values == answers.tolist()
+        firsts = {}
+        for rank, cuts, split in calls:
+            firsts.setdefault(rank, (cuts, split))
+            read = self._read(split)
+            # Never an equality band (its targets resolve in place), and
+            # at most one segment per target.
+            assert all(j % 2 == 0 for j in read) and len(read) <= len(ks)
+        assert sorted(firsts) == [0, 1]
+        for cuts, split in firsts.values():
+            # The first split holds every target: exactly the open
+            # segments that contain an answer are gathered.
+            bounds = np.concatenate([[-np.inf], cuts, [np.inf]])
+            holding = {2 * i for i in range(cuts.size + 1)
+                       if np.any((bounds[i] < answers)
+                                 & (answers < bounds[i + 1]))}
+            assert holding and self._read(split) == holding
+            assert len(holding) < len(split)
+
+    def test_prefilter_gathers_only_in_interval_segments(self, monkeypatch):
+        from repro.kernels.costed import CostedKernels
+        from repro.stream.refine import _prefilter
+
+        calls = self._spy(monkeypatch)
+        keys = np.random.default_rng(2).permutation(1000).astype(np.float64)
+        machine = repro.Machine(n_procs=2, backend="threaded")
+        data = machine.distribute(keys)
+        intervals = [(100.0, 110.0, [105]), (400.0, 420.0, [410]),
+                     (800.0, 805.0, [802])]
+
+        def program(ctx, shard):
+            return _prefilter(ctx, CostedKernels(ctx), shard, intervals)
+
+        result = machine.run(program, rank_args=[(s,) for s in data.shards])
+        survivors = np.sort(np.concatenate([v[0] for v in result.values]))
+        expected = np.concatenate([np.arange(lo, hi + 1)
+                                   for lo, hi, _ in intervals])
+        np.testing.assert_array_equal(survivors, expected)
+        assert len(calls) == 2
+        # Cuts 100, 110, 400, 420, 800, 805: segments 1-3, 5-7 and 9-11
+        # lie inside the intervals; 0, 4, 8 and 12 lie between them.
+        inside = {1, 2, 3, 5, 6, 7, 9, 10, 11}
+        for _rank, _cuts, split in calls:
+            assert self._read(split) == {j for j in inside
+                                         if split.counts[j]}
+
+
 class TestBucketSplit:
     def test_split3_vs_preserves_sides(self):
         from repro.kernels.buckets import LocalBuckets

@@ -244,6 +244,24 @@ class TestSpanTree:
         queries = _by_name(rec.spans, "query")
         assert all(q.parent_id == groups[0].span_id for q in queries)
 
+    def test_query_span_names_its_kind(self):
+        """A one-target launch's span is a ``select`` carrying ``k``; a
+        launch with several targets is a ``multi_select`` carrying
+        ``n_ks``."""
+        with obs.capture() as rec:
+            machine = repro.Machine(n_procs=P)
+            data = machine.generate(N, seed=4)
+            data.median()
+            data.select(7)
+            repro.median(data)
+            data.multi_select([1, 5, 9])
+        med = (N + 1) // 2
+        assert [
+            (q.attrs["kind"], q.attrs.get("k"), q.attrs.get("n_ks"))
+            for q in _by_name(rec.spans, "query")
+        ] == [("select", med, None), ("select", 7, None),
+              ("select", med, None), ("multi_select", None, 3)]
+
     def test_tree_and_format_render(self, captured):
         rec, _ = captured
         forest = rec.tree()

@@ -4,12 +4,17 @@ launch accounting, and legacy-shim equivalence."""
 import asyncio
 import dataclasses
 import gc
+import itertools
+import sys
+import threading
+import time
 import weakref
 
 import numpy as np
 import pytest
 
 import repro
+from repro.core.array import _sample_key
 from repro.core.reports import _RunReport
 from repro.errors import ConfigurationError
 from repro.machine.clock import TimeBreakdown
@@ -539,3 +544,133 @@ class TestReports:
         assert s.flushes == 2
         assert s.cache_hits == 1
         assert s.cache_misses == 3
+
+
+class TestIdentity:
+    """The cache identity hashes content only when two live arrays share
+    a sample key, and never serves one array another's answers."""
+
+    @staticmethod
+    def _twin(keys):
+        """``keys`` changed at shard 0's position 1, which the 64-point
+        sample of a 5,000-key shard does not read."""
+        twin = keys.copy()
+        twin[1] = 2.0
+        return twin
+
+    def test_a_fresh_array_is_never_hashed(self, machine):
+        d = machine.generate(N, distribution="random", seed=11)
+        oracle = np.sort(d.gather())
+        assert d.median().value == oracle[(N + 1) // 2 - 1]
+        assert d.quantiles([0.5, 0.9])[1].value == oracle[9 * N // 10 - 1]
+        with machine.session() as session:
+            session.select(d, 5)
+        assert d._fingerprint is None
+
+    def test_sample_equal_arrays_never_share(self, machine):
+        keys = np.random.default_rng(3).random(N)
+        a, b = machine.distribute(keys), machine.distribute(self._twin(keys))
+        assert _sample_key(a.shards) == _sample_key(b.shards)
+        session = machine.session()
+        before = machine.launch_count
+        fa, fb = session.select(a, N), session.select(b, N)
+        session.flush()
+        assert machine.launch_count == before + 2, "no shared flush launch"
+        assert (fa.value, fb.value) == (keys.max(), 2.0)
+        assert a.identity != b.identity
+        before = machine.launch_count
+        assert session.run_select(b, N).value == 2.0
+        assert session.run_select(a, N).value == keys.max()
+        assert machine.launch_count == before + 2, "no shared cache entry"
+
+    def test_content_distributed_again_after_collection(self, machine):
+        keys = np.random.default_rng(4).random(N)
+        a = machine.distribute(keys)
+        assert a.select(N).value == keys.max()
+        del a
+        gc.collect()
+        before = machine.launch_count
+        again = machine.distribute(keys)
+        assert again.select(N).value == keys.max()
+        assert machine.launch_count == before + 1, "launches once more"
+        del again
+        gc.collect()
+        # Differs only at an unsampled position: must not be served the
+        # collected arrays' answer.
+        assert machine.distribute(self._twin(keys)).select(N).value == 2.0
+
+    def test_content_equal_arrays_share_while_one_is_alive(self, machine):
+        keys = np.random.default_rng(5).random(N)
+        a = machine.distribute(keys)
+        a.median()
+        before = machine.launch_count
+        b = machine.distribute(keys)
+        assert b.median().cached
+        # b took a's identity, so a later copy still shares with b alone.
+        del a
+        gc.collect()
+        assert machine.distribute(keys).median().cached
+        assert machine.launch_count == before
+
+    @staticmethod
+    def _resolve_concurrently(arrays):
+        start = threading.Barrier(len(arrays))
+        got: list = [None] * len(arrays)
+
+        def resolve(i):
+            start.wait(10)
+            got[i] = arrays[i].identity
+
+        threads = [threading.Thread(target=resolve, args=(i,))
+                   for i in range(len(arrays))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(10)
+            assert not t.is_alive()
+        return got
+
+    def test_concurrent_resolution_ends_with_one_identity(self, machine,
+                                                         monkeypatch):
+        """Eight threads on fewer cores, switching every microsecond: one
+        array, and two content-equal arrays, each end with one identity.
+        A slow provisional counter widens the window between finding no
+        peer and registering, where an unlocked registry would hand out
+        two identities."""
+        counter = itertools.count()
+
+        def slow_count():
+            while True:
+                time.sleep(0.002)
+                yield next(counter)
+
+        monkeypatch.setattr("repro.core.array._PROVISIONAL", slow_count())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(5):
+                one = machine.generate(N, seed=100 + seed)
+                pair = [machine.generate(N, seed=200 + seed)
+                        for _ in range(2)]
+                got = self._resolve_concurrently([one] * 4 + pair * 2)
+                assert len(set(got[:4])) == 1
+                assert len(set(got[4:])) == 1
+                assert got[0] != got[4]
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_registry_holds_no_collected_array(self, machine):
+        for seed in range(20):
+            machine.generate(1000, seed=seed).identity
+        gc.collect()
+        machine.generate(1000, seed=99).identity
+        assert len(machine._identities._live) == 1
+
+    def test_stream_identity_is_its_fingerprint(self, machine):
+        s = machine.stream(window=2)
+        s.append(np.arange(100.0))
+        first = s.identity
+        assert first == s.fingerprint
+        s.append(np.arange(100.0) + 5)
+        assert s.identity == s.fingerprint != first
+        assert s._identity is None
