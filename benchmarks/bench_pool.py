@@ -126,7 +126,7 @@ def argsort_partition_multiway(arr: np.ndarray, cuts) -> list[np.ndarray]:
     ids=["4M-keys-1-cut", "512k-keys-6-cuts"],
 )
 def test_multiway_partition_speedup_over_argsort(benchmark, n, n_cuts):
-    """Small unsigned labels, one gather per segment (one cut: three mask
+    """Small unsigned labels grouped by a radix pass (one cut: three mask
     gathers) against int64 labels grouped by a merge sort. Both keep the
     original order within each segment, so the outputs are identical."""
     rng = np.random.default_rng(0)

@@ -19,6 +19,7 @@ guide: no Python-level loops over elements.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,9 +142,10 @@ class MultiwaySplit:
 
     Behaves as a sequence of arrays (``len``, iteration, integer indexing)
     and holds every segment's size in ``counts`` (int64), computed up
-    front. Segment ``j`` is gathered on first read and then kept, so a
-    caller that keeps the segments holding targets pays for those gathers
-    alone. A segment keeps ``arr``'s dtype and element order.
+    front. A segment is gathered on first read and then kept, so a caller
+    pays only for the segments it keeps; naming them all in one
+    :meth:`take` gathers them in one pass. A segment keeps ``arr``'s dtype
+    and element order.
 
     One cut keeps the two comparison masks, as :class:`Partition3` does;
     more cuts keep one small unsigned label per key (see
@@ -151,45 +153,68 @@ class MultiwaySplit:
     ``j``.
     """
 
-    __slots__ = ("_arr", "_lt", "_le", "_labels", "_segs", "counts")
+    __slots__ = ("_arr", "_labels", "_segs", "counts")
 
     def __init__(self, arr: np.ndarray, cuts: np.ndarray, nan_cut: bool):
         self._arr = arr
-        self._lt = self._le = self._labels = None
+        self._segs: dict[int, np.ndarray] = {}
+        # Every key's segment label or, with one cut, the masks
+        # (< cut, <= cut).
+        self._labels: np.ndarray | tuple[np.ndarray, np.ndarray]
         if cuts.size == 1 and not nan_cut:
-            self._lt = arr < cuts[0]
-            self._le = arr <= cuts[0]
-            n_lt = np.count_nonzero(self._lt)
-            n_le = np.count_nonzero(self._le)
+            lt, le = arr < cuts[0], arr <= cuts[0]
+            n_lt, n_le = np.count_nonzero(lt), np.count_nonzero(le)
+            self._labels = (lt, le)
             self.counts = np.array([n_lt, n_le - n_lt, arr.size - n_le],
                                    dtype=np.int64)
         else:
             self._labels, self.counts = _segment_labels(arr, cuts, nan_cut)
-        self._segs: list[np.ndarray | None] = [None] * self.counts.size
 
     def __len__(self) -> int:
-        return len(self._segs)
+        return int(self.counts.size)
 
     def __getitem__(self, j: int) -> np.ndarray:
-        j = range(len(self._segs))[j]  # negative indices, IndexError
-        seg = self._segs[j]
-        if seg is None:
-            # np.compress (nonzero + take) beats boolean indexing on
-            # unpredictable masks.
-            seg = self._segs[j] = np.compress(self._mask(j), self._arr)
-        return seg
+        return self.take([j])[0]
 
-    def __iter__(self):
-        return (self[j] for j in range(len(self._segs)))
+    def __iter__(self) -> Iterator[np.ndarray]:
+        return iter(self.take(range(len(self))))
 
-    def _mask(self, j: int) -> np.ndarray:
-        if self._labels is not None:
-            return self._labels == j
-        if j == 0:
-            return self._lt
-        if j == 1:
-            return self._le & ~self._lt
-        return ~self._le
+    def take(self, js: Iterable[int]) -> list[np.ndarray]:
+        """Segments ``js``, in the order given; the unread ones are
+        gathered together in one pass over ``arr``."""
+        js = [range(len(self))[j] for j in js]  # negative indices, IndexError
+        unread = sorted(set(js) - self._segs.keys())
+        if unread:
+            self._gather(unread)
+        return [self._segs[j] for j in js]
+
+    def _gather(self, js: list[int]) -> None:
+        # np.compress (nonzero + take) beats boolean indexing on
+        # unpredictable masks.
+        arr, labels = self._arr, self._labels
+        if isinstance(labels, tuple):
+            lt, le = labels
+            for j in js:
+                mask = lt if j == 0 else le & ~lt if j == 1 else ~le
+                self._segs[j] = np.compress(mask, arr)
+            return
+        if len(js) == 1:
+            self._segs[js[0]] = np.compress(labels == js[0], arr)
+            return
+        drop = 2 * int(self.counts[js].sum()) < arr.size
+        if drop:
+            # Most keys lie in other segments: drop them before grouping.
+            keep = np.zeros(len(self), dtype=bool)
+            keep[js] = True
+            mask = keep.take(labels)
+            arr, labels = np.compress(mask, arr), np.compress(mask, labels)
+        groups = js if drop else range(len(self))
+        # A stable argsort of small unsigned labels is a radix sort, and
+        # keeps each segment's keys in their original order.
+        grouped = arr.take(np.argsort(labels, kind="stable"))
+        ends = dict(zip(groups, np.cumsum(self.counts[groups]).tolist()))
+        for j in js:
+            self._segs[j] = grouped[ends[j] - int(self.counts[j]): ends[j]]
 
 
 def partition_multiway(arr: np.ndarray, cuts) -> MultiwaySplit:
@@ -211,9 +236,12 @@ def partition_multiway(arr: np.ndarray, cuts) -> MultiwaySplit:
     each key gets its segment index in the smallest unsigned dtype that
     holds ``2c``, from ``2c`` vectorised compares (whose counts give the
     segment counts) up to 16 cuts or a ``searchsorted`` pair and a
-    ``bincount`` above. Reading segment ``j`` gathers the keys labelled
-    ``j``, in their original order. One cut needs no labels: two masks
-    give the counts and the three gathers.
+    ``bincount`` above. Reading one segment gathers the keys with its
+    label. Reading several in one :meth:`MultiwaySplit.take` drops the
+    other keys (unless they are fewer than half) and groups the rest with
+    a stable argsort of their labels, a radix sort that keeps each
+    segment's keys in their original order. One cut needs no labels: two
+    masks give the counts and the three gathers.
     """
     cuts = np.asarray(cuts)
     if cuts.ndim != 1 or cuts.size == 0:

@@ -522,8 +522,8 @@ class ContractionEngine:
         segments (open ranges alternating with ``==`` bands) and counts
         them; one Combine of the counts places every target. Targets
         landing in an ``==`` band resolve immediately; only the segments
-        holding targets are gathered, and the rest are discarded wholesale
-        — they lie *between* requested ranks.
+        holding targets are gathered, in one pass, and the rest are
+        discarded wholesale — they lie *between* requested ranks.
         """
         n_before, ni = iv.n, iv.live.count
         k_first = iv.targets[0].k
@@ -544,9 +544,10 @@ class ContractionEngine:
                     _Target(t.idx, t.k - int(cum[j]))
                 )
 
+        held = sorted(by_seg)
         children = [
-            _Interval(ArrayLive(segs[j]), int(counts[j]), ts)
-            for j, ts in sorted(by_seg.items())
+            _Interval(ArrayLive(seg), int(counts[j]), by_seg[j])
+            for j, seg in zip(held, segs.take(held))
         ]
         if not children:
             self.stats.record(IterationRecord(

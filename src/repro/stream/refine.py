@@ -133,17 +133,19 @@ def _prefilter(ctx, K: CostedKernels, shard: np.ndarray,
         # ``== cuts[i]``); only the non-empty in-interval ones are gathered.
         segs = K.partition_multiway(shard, cuts)
         cum = np.concatenate([[0], np.cumsum(segs.counts)])
+        spans: list[list[int]] = []
         for lo, hi, _targets in intervals:
-            li = int(np.searchsorted(cuts, lo))
-            hi_i = int(np.searchsorted(cuts, hi))
-            first, last = 2 * li + 1, 2 * hi_i + 1  # ==lo .. ==hi
+            first = 2 * int(np.searchsorted(cuts, lo)) + 1  # == lo
+            last = 2 * int(np.searchsorted(cuts, hi)) + 1  # == hi
             local_counts.extend(
                 (int(cum[first]), int(cum[last + 1] - cum[first]))
             )
-            mids = [segs[j] for j in range(first, last + 1)
-                    if segs.counts[j]]
+            spans.append([j for j in range(first, last + 1)
+                          if segs.counts[j]])
+        segs.take([j for span in spans for j in span])  # one pass
+        for span in spans:
             survivor_parts.append(
-                np.concatenate(mids) if mids else shard[:0]
+                np.concatenate(segs.take(span)) if span else shard[:0]
             )
     totals = ctx.comm.combine(np.asarray(local_counts, dtype=np.int64))
     adjusted: list[int] = []

@@ -297,25 +297,33 @@ class TestLazySegments:
 
     @staticmethod
     def _spy(monkeypatch):
+        """Every split built, and how many gather passes each one ran."""
         from repro.kernels.costed import CostedKernels
+        from repro.kernels.partition import MultiwaySplit
 
-        calls = []
+        calls, passes = [], {}
         real = CostedKernels.partition_multiway
+        real_gather = MultiwaySplit._gather
 
         def spy(self, arr, cuts):
             split = real(self, arr, cuts)
             calls.append((self.ctx.rank, np.asarray(cuts), split))
             return split
 
+        def gather(self, js):
+            passes[id(self)] = passes.get(id(self), 0) + 1
+            return real_gather(self, js)
+
         monkeypatch.setattr(CostedKernels, "partition_multiway", spy)
-        return calls
+        monkeypatch.setattr(MultiwaySplit, "_gather", gather)
+        return calls, passes
 
     @staticmethod
     def _read(split):
-        return {j for j, seg in enumerate(split._segs) if seg is not None}
+        return set(split._segs)
 
     def test_multicut_gathers_only_target_segments(self, monkeypatch):
-        calls = self._spy(monkeypatch)
+        calls, passes = self._spy(monkeypatch)
         machine = repro.Machine(n_procs=2, backend="threaded")
         data = machine.generate(20_000, distribution="random", seed=3)
         ks = [2_000, 10_000, 19_000]
@@ -327,8 +335,9 @@ class TestLazySegments:
             firsts.setdefault(rank, (cuts, split))
             read = self._read(split)
             # Never an equality band (its targets resolve in place), and
-            # at most one segment per target.
+            # at most one segment per target, all in one pass.
             assert all(j % 2 == 0 for j in read) and len(read) <= len(ks)
+            assert passes.get(id(split), 0) == (1 if read else 0)
         assert sorted(firsts) == [0, 1]
         for cuts, split in firsts.values():
             # The first split holds every target: exactly the open
@@ -344,7 +353,7 @@ class TestLazySegments:
         from repro.kernels.costed import CostedKernels
         from repro.stream.refine import _prefilter
 
-        calls = self._spy(monkeypatch)
+        calls, passes = self._spy(monkeypatch)
         keys = np.random.default_rng(2).permutation(1000).astype(np.float64)
         machine = repro.Machine(n_procs=2, backend="threaded")
         data = machine.distribute(keys)
@@ -366,6 +375,7 @@ class TestLazySegments:
         for _rank, _cuts, split in calls:
             assert self._read(split) == {j for j in inside
                                          if split.counts[j]}
+            assert passes[id(split)] == 1
 
 
 class TestBucketSplit:

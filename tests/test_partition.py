@@ -241,6 +241,37 @@ def test_property_multiway_matches_argsort_oracle(case):
         np.testing.assert_array_equal(g, e)  # order included; NaN == NaN
 
 
+@settings(max_examples=400)
+@given(multiway_cases())
+def test_property_multiway_counts_match_segments(case):
+    # The engine places every target by ``counts`` alone, so a count that
+    # disagreed with its gathered segment would mis-rank silently.
+    arr, cuts = case
+    split = partition_multiway(arr, cuts)
+    assert split.counts.dtype == np.int64
+    assert split.counts.tolist() == [len(s) for s in split]
+
+
+@settings(max_examples=400)
+@given(multiway_cases(), st.data())
+def test_property_multiway_take_matches_argsort_oracle(case, data):
+    # Any subset, in any order and with repeats: a partial take drops the
+    # other keys before grouping, which reading every segment never does.
+    arr, cuts = case
+    expected = argsort_partition_multiway(arr, cuts)
+    split = partition_multiway(arr, cuts)
+    index = st.integers(0, len(expected) - 1)
+    for _ in range(data.draw(st.integers(1, 3))):
+        js = data.draw(st.lists(index, max_size=len(expected) + 2))
+        got = split.take(js)
+        assert len(got) == len(js)
+        for j, g in zip(js, got):
+            assert g.dtype == expected[j].dtype
+            np.testing.assert_array_equal(g, expected[j])  # order included
+            assert split[j] is g  # gathered once
+            assert len(g) == split.counts[j]
+
+
 @given(arr=adversarial_arrays, data=st.data())
 def test_multiway_matches_argsort_oracle_on_tie_pools(arr, data):
     pool = np.unique(np.concatenate([arr, [0.0, 1.0, 2.0]]))
